@@ -132,9 +132,16 @@ pub fn factorize_candmc(cfg: &CandmcConfig, a: Option<&Matrix>) -> CandmcRun {
         net.butterfly(&group, (v * (v + 1)) as u64, "tslu:tournament");
 
         // ---- pivoting numerics + physical row swaps ----
-        let pivots: Vec<usize> = if let Some(m) = lu.as_mut() {
-            let panel = m.block(kb, kb, rem, v);
-            let sel = tournament_pivots(&panel, v, q * c);
+        // A rank-deficient input can leave the tournament no nonsingular
+        // pivot block: the numerics stop there (`factors` is `None`) and
+        // the volume accounting goes on with synthetic pivots.
+        let chosen = lu
+            .as_ref()
+            .and_then(|m| tournament_pivots(&m.block(kb, kb, rem, v), v, q * c).ok());
+        if chosen.is_none() {
+            lu = None;
+        }
+        let pivots: Vec<usize> = if let Some(sel) = chosen {
             sel.pivot_rows.iter().map(|&r| kb + r).collect()
         } else {
             let mut state = cfg.seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15);
@@ -186,7 +193,8 @@ pub fn factorize_candmc(cfg: &CandmcConfig, a: Option<&Matrix>) -> CandmcRun {
         // ---- factor the diagonal block (numerics on the global view) ----
         if let Some(m) = lu.as_mut() {
             let panel = m.block(kb, kb, v, v);
-            let pf = denselin::tournament::lu_no_pivot(&panel);
+            let pf = denselin::tournament::lu_no_pivot(&panel)
+                .expect("the tournament factored these rows without pivoting");
             m.set_block(kb, kb, &pf);
         }
 

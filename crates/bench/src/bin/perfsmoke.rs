@@ -19,7 +19,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use denselin::gemm::{auto_threads, gemm, gemm_parallel, gemm_reference, GemmBlocking};
+use denselin::gemm::{
+    auto_threads, gemm, gemm_reference, gemm_with, selected_kernel, GemmBlocking,
+};
 use denselin::lu::lu_blocked;
 use denselin::lu_parallel::lu_parallel_with;
 use denselin::matrix::Matrix;
@@ -56,6 +58,7 @@ fn main() {
     let threads = auto_threads();
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let blk = GemmBlocking::tuned();
+    let krn = selected_kernel();
     println!(
         "# perfsmoke: blocking mc={} kc={} nc={}, {threads} thread(s), {cores} core(s)",
         blk.mc, blk.kc, blk.nc
@@ -78,7 +81,9 @@ fn main() {
         push(&mut entries, "gemm_packed", n, 1, t, flops);
 
         if threads > 1 {
-            let t = best_of(reps, || gemm_parallel(&mut c, 1.0, &a, &b, 0.0, threads));
+            let t = best_of(reps, || {
+                gemm_with(&mut c, 1.0, &a, &b, 0.0, threads, blk, krn)
+            });
             push(&mut entries, "gemm_parallel", n, threads, t, flops);
         }
     }
@@ -165,7 +170,7 @@ fn main() {
             if t >= threads {
                 continue; // the auto-thread point was measured above
             }
-            let s = best_of(reps, || gemm_parallel(&mut gc, 1.0, &ga, &gb, 0.0, t));
+            let s = best_of(reps, || gemm_with(&mut gc, 1.0, &ga, &gb, 0.0, t, blk, krn));
             push(&mut entries, "gemm_parallel", n, t, s, gemm_flops);
             let s = best_of(reps, || {
                 lu_parallel_with(&a, 64, t).unwrap();

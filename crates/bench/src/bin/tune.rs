@@ -16,8 +16,9 @@
 //!
 //! Gates:
 //! * `--check` — fail unless every supported variant passed parity and
-//!   the persisted winner's throughput is at least the measured heuristic
-//!   baseline (the default kernel under the autotune blocking probe).
+//!   the persisted winner's throughput is at least the measured default
+//!   baseline (the default ISA kernel under `GemmBlocking::default()`,
+//!   which is what a process without a tuning file runs).
 //! * `--check-reload` — no sweep at all: assert that a *previous* tune run
 //!   persisted a record this process loads back (`TuneSource::Persisted`
 //!   for both blocking and kernel). Run it as a second process after
@@ -29,8 +30,8 @@
 use std::fmt::Write as _;
 
 use denselin::gemm::{
-    default_isa_kernel, gemm_blocked_with, gemm_emulated, microkernels,
-    selected_kernel_with_source, GemmBlocking,
+    default_isa_kernel, gemm_emulated, gemm_with, microkernels, selected_kernel_with_source,
+    GemmBlocking,
 };
 use denselin::matrix::Matrix;
 use denselin::tune::{
@@ -89,13 +90,13 @@ fn main() {
         );
     }
 
-    // ---- heuristic baseline the winner must beat -----------------------
+    // ---- default baseline the winner must beat -------------------------
     // The exact configuration a cold process with no tuning file runs:
-    // the fastest-ISA default kernel under the autotune blocking probe,
-    // measured with the same discipline at each sweep thread count.
+    // the fastest-ISA default kernel under the default blocking, measured
+    // with the same discipline at each sweep thread count.
     let base_krn = default_isa_kernel();
-    let base_blk = GemmBlocking::autotuned_heuristic();
-    let heuristic = cfg
+    let base_blk = GemmBlocking::default();
+    let baseline = cfg
         .threads
         .iter()
         .map(|&t| SweepPoint {
@@ -107,17 +108,17 @@ fn main() {
         .max_by(|a, b| a.gflops.total_cmp(&b.gflops))
         .expect("sweep thread list is never empty");
     println!(
-        "# heuristic baseline: {} mc={} kc={} nc={} threads={} {:.2} GFLOP/s",
-        heuristic.kernel,
-        heuristic.blocking.mc,
-        heuristic.blocking.kc,
-        heuristic.blocking.nc,
-        heuristic.threads,
-        heuristic.gflops
+        "# default baseline: {} mc={} kc={} nc={} threads={} {:.2} GFLOP/s",
+        baseline.kernel,
+        baseline.blocking.mc,
+        baseline.blocking.kc,
+        baseline.blocking.nc,
+        baseline.threads,
+        baseline.gflops
     );
     // The baseline joins the candidate set, so the winner dominates it by
-    // construction and the >= heuristic gate can only trip on a logic bug.
-    points.push(heuristic.clone());
+    // construction and the >= default gate can only trip on a logic bug.
+    points.push(baseline.clone());
 
     let winner = best_point(&points).expect("non-empty sweep").clone();
     println!(
@@ -177,12 +178,13 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"heuristic\": {},", point_json(&heuristic));
+    // the `heuristic` keys keep their name so older records still compare
+    let _ = writeln!(json, "  \"heuristic\": {},", point_json(&baseline));
     let _ = writeln!(json, "  \"winner\": {},", point_json(&winner));
     let _ = writeln!(
         json,
         "  \"winner_vs_heuristic\": {:.3},",
-        winner.gflops / heuristic.gflops
+        winner.gflops / baseline.gflops
     );
     let _ = writeln!(
         json,
@@ -206,18 +208,18 @@ fn main() {
             std::process::exit(1);
         }
         println!("# check OK: every supported variant is parity-clean");
-        if winner.gflops < heuristic.gflops {
+        if winner.gflops < baseline.gflops {
             eprintln!(
-                "# check FAILED: persisted winner {:.2} GFLOP/s below heuristic {:.2}",
-                winner.gflops, heuristic.gflops
+                "# check FAILED: persisted winner {:.2} GFLOP/s below default {:.2}",
+                winner.gflops, baseline.gflops
             );
             std::process::exit(1);
         }
         println!(
-            "# check OK: winner {:.2} GFLOP/s >= heuristic {:.2} ({:.2}x)",
+            "# check OK: winner {:.2} GFLOP/s >= default {:.2} ({:.2}x)",
             winner.gflops,
-            heuristic.gflops,
-            winner.gflops / heuristic.gflops
+            baseline.gflops,
+            winner.gflops / baseline.gflops
         );
         if persisted_to.is_none() {
             eprintln!("# check FAILED: winner was not persisted");
@@ -227,7 +229,7 @@ fn main() {
 }
 
 /// `--check-reload`: this process must load a previously persisted record
-/// instead of re-sweeping or re-probing.
+/// instead of re-sweeping.
 fn run_reload_check() {
     let (blk, bsrc) = GemmBlocking::tuned_with_source();
     let (krn, ksrc) = selected_kernel_with_source();
@@ -248,7 +250,7 @@ fn run_reload_check() {
         );
         std::process::exit(1);
     }
-    println!("# check-reload OK: persisted record loaded; no re-sweep, no re-probe");
+    println!("# check-reload OK: persisted record loaded; no re-sweep");
 }
 
 /// Bitwise parity status of every registered variant against the scalar
@@ -278,7 +280,7 @@ fn parity_results() -> Vec<(&'static str, &'static str)> {
                 let b = Matrix::random(&mut rng, k, n);
                 let c0 = Matrix::random(&mut rng, m, n);
                 let mut c = c0.clone();
-                gemm_blocked_with(&mut c, -1.5, &a, &b, 0.25, blk, krn);
+                gemm_with(&mut c, -1.5, &a, &b, 0.25, 1, blk, krn);
                 let mut e = c0;
                 gemm_emulated(&mut e, -1.5, &a, &b, 0.25, blk.kc, krn.fused);
                 if c.as_slice() != e.as_slice() {

@@ -48,8 +48,6 @@ pub struct ConfluxConfig {
     pub bcast: BcastAlgo,
     /// Seed for synthetic pivot selection.
     pub seed: u64,
-    /// Record a full communication trace (see `simnet::network::TraceEvent`).
-    pub trace: bool,
     /// Record a virtual-time event timeline (`simnet::trace::Trace`): every
     /// send/recv/collective-step plus analytic compute regions, for
     /// critical-path analysis and Perfetto export.
@@ -73,7 +71,6 @@ impl ConfluxConfig {
             pivot_strategy: PivotStrategy::Masking,
             bcast: BcastAlgo::Binomial,
             seed: 0x5eed,
-            trace: false,
             timeline: false,
             faults: FaultPlan::none(),
         }
@@ -90,7 +87,6 @@ impl ConfluxConfig {
             pivot_strategy: PivotStrategy::Masking,
             bcast: BcastAlgo::Binomial,
             seed: 0x5eed,
-            trace: false,
             timeline: false,
             faults: FaultPlan::none(),
         }
@@ -158,8 +154,6 @@ pub struct ConfluxRun {
     pub stats: CommStats,
     /// Factors (Dense mode only).
     pub factors: Option<LuFactors>,
-    /// Event trace (only when `config.trace` was set).
-    pub trace: Option<Vec<simnet::network::TraceEvent>>,
     /// Event timeline (only when `config.timeline` was set). Orchestrated
     /// runs record deterministic virtual time; threaded runs record wall
     /// time.
@@ -172,16 +166,45 @@ pub struct ConfluxRun {
     pub config: ConfluxConfig,
 }
 
+/// Why a COnfLUX factorization stopped.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LuCause {
+    /// A communication failure: an injected crash, a timeout, a panicked
+    /// rank, or any other [`SimnetError`].
+    Comm(SimnetError),
+    /// The `v x v` pivot block the tournament chose at `step` is exactly
+    /// singular: its no-pivot LU met a zero pivot in global column
+    /// `column`. Only a rank-deficient trailing matrix leads here.
+    SingularPivot {
+        /// Algorithm step (`t` of the `N/v` outer iterations).
+        step: usize,
+        /// Global column of the zero pivot.
+        column: usize,
+    },
+}
+
+impl std::fmt::Display for LuCause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LuCause::Comm(e) => e.fmt(f),
+            LuCause::SingularPivot { step, column } => write!(
+                f,
+                "singular pivot block: zero pivot in column {column} at step {step}"
+            ),
+        }
+    }
+}
+
 /// A factorization that did not complete: the structured cause, the step it
 /// died in, and the per-phase communication statistics collected up to that
-/// point — everything a caller needs to triage a faulted run.
+/// point — everything a caller needs to triage a failed run.
 #[derive(Clone, Debug)]
 pub struct LuError {
-    /// The structured error that aborted the run.
-    pub error: SimnetError,
+    /// The structured cause that aborted the run.
+    pub error: LuCause,
     /// Algorithm step (`t` of the `N/v` outer iterations) at the abort, if
-    /// known. Crash aborts know it exactly; timeouts discovered by a peer
-    /// may not.
+    /// known. Crash and singular-pivot aborts know it exactly; timeouts
+    /// discovered by a peer may not.
     pub step: Option<usize>,
     /// Partial communication statistics at the time of failure.
     pub stats: CommStats,
@@ -246,6 +269,10 @@ pub fn factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> ConfluxRun {
 ///   unrecoverable: the run aborts cleanly with a [`LuError`] carrying the
 ///   crashed rank, the step, and the per-phase statistics collected so far.
 ///
+/// In Dense mode a rank-deficient input can leave the tournament no
+/// nonsingular `v x v` pivot block; the run then stops after broadcasting
+/// that block with [`LuCause::SingularPivot`], naming the step and column.
+///
 /// ```
 /// use conflux::{try_factorize, ConfluxConfig, LuGrid};
 /// use simnet::FaultPlan;
@@ -275,11 +302,7 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
     let p = topo.ranks();
     let nb = n / v;
 
-    let mut net = if cfg.trace {
-        Network::with_trace(p)
-    } else {
-        Network::new(p)
-    };
+    let mut net = Network::new(p);
     net.bcast_algo = cfg.bcast;
     net.faults = cfg.faults.clone();
     if cfg.timeline {
@@ -312,7 +335,7 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
                 if c == 1 || co.k == 0 {
                     // layer 0 holds the only base copy: unrecoverable
                     return Err(LuError {
-                        error: SimnetError::RankCrashed { rank: r, step: t },
+                        error: LuCause::Comm(SimnetError::RankCrashed { rank: r, step: t }),
                         step: Some(t),
                         stats: net.stats.clone(),
                         retries: 0,
@@ -355,7 +378,7 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
 
         // ---- Step 2: tournament pivoting on the column group ----
         let pivot_group = topo.column_group(col_j, 0);
-        let round: PivotRound = select_pivots(
+        let round = select_pivots(
             cfg.mode,
             cfg.pivot_choice,
             panel.as_ref(),
@@ -367,8 +390,6 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
             t,
         );
         net.butterfly(&pivot_group, (v * (v + 1)) as u64, "02:tournament");
-        let pivots = round.pivot_rows.clone();
-        debug_assert_eq!(pivots.len(), v);
 
         // ---- Step 3: broadcast A00 + pivot row ids everywhere ----
         let bcast_group: Vec<usize> = if ft {
@@ -382,6 +403,19 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
             (v * v + v) as u64,
             "03:bcast-a00",
         );
+        // a singular A00 ends the run once every rank has heard of it, as
+        // in the threaded driver, so both report the same partial volumes
+        let round: PivotRound = round.map_err(|e| LuError {
+            error: LuCause::SingularPivot {
+                step: t,
+                column: t * v + e.column,
+            },
+            step: Some(t),
+            stats: net.stats.clone(),
+            retries: 0,
+        })?;
+        let pivots = round.pivot_rows.clone();
+        debug_assert_eq!(pivots.len(), v);
 
         let pivset: HashSet<usize> = pivots.iter().copied().collect();
         let rows10: Vec<usize> = remaining
@@ -545,7 +579,6 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
     Ok(ConfluxRun {
         stats: net.stats,
         factors,
-        trace: net.trace,
         timeline,
         retries: 0,
         config: cfg.clone(),

@@ -41,7 +41,9 @@ pub mod store;
 pub mod threaded;
 pub mod tiles;
 
-pub use algorithm::{factorize, try_factorize, ConfluxConfig, ConfluxRun, LuError, LuFactors};
+pub use algorithm::{
+    factorize, try_factorize, ConfluxConfig, ConfluxRun, LuCause, LuError, LuFactors,
+};
 pub use grid::{choose_grid, LuGrid};
 pub use model::{conflux_volume_per_rank, conflux_volume_total};
 pub use pivoting::{PivotChoice, PivotStrategy};

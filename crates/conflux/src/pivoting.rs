@@ -7,6 +7,7 @@
 //! rounds). No rows are swapped — only the `v` winning row indices
 //! propagate, and subsequent steps mask them out.
 
+use denselin::lu::SingularMatrix;
 use denselin::matrix::Matrix;
 use denselin::tournament::{local_candidates, lu_no_pivot, playoff_round, Candidates};
 use denselin::SplitMix64;
@@ -68,6 +69,10 @@ pub struct PivotRound {
 /// * `remaining` — global row ids matching `panel` rows,
 /// * `owner_of_row` — grid-row index (`0..q`) owning each remaining row,
 /// * `v` — number of pivots to select.
+///
+/// # Errors
+/// [`SingularMatrix`] (with the column inside the block) when the chosen
+/// Dense `v x v` block is exactly singular.
 #[allow(clippy::too_many_arguments)] // mirrors the step's full parameter set
 pub fn select_pivots(
     mode: Mode,
@@ -79,7 +84,7 @@ pub fn select_pivots(
     v: usize,
     seed: u64,
     step: usize,
-) -> PivotRound {
+) -> Result<PivotRound, SingularMatrix> {
     let v_eff = v.min(remaining.len());
     match (mode, choice) {
         (Mode::Phantom, PivotChoice::Tournament) => {
@@ -93,14 +98,14 @@ pub fn select_pivots(
                         .iter()
                         .map(|r| remaining.iter().position(|x| x == r).unwrap())
                         .collect();
-                    Tile::from_matrix(lu_no_pivot(&p.gather_rows(&idx)))
+                    Tile::from_matrix(lu_no_pivot(&p.gather_rows(&idx))?)
                 }
                 _ => Tile::zeros(Mode::Phantom, v_eff, v_eff),
             };
-            PivotRound {
+            Ok(PivotRound {
                 pivot_rows: rows,
                 a00,
-            }
+            })
         }
         (Mode::Dense, PivotChoice::Tournament) => {
             let panel = panel.expect("dense tournament needs the column panel");
@@ -137,11 +142,11 @@ pub fn select_pivots(
                 .iter()
                 .map(|r| remaining.iter().position(|x| x == r).unwrap())
                 .collect();
-            let a00 = Tile::from_matrix(lu_no_pivot(&panel.gather_rows(&idx)));
-            PivotRound {
+            let a00 = Tile::from_matrix(lu_no_pivot(&panel.gather_rows(&idx))?);
+            Ok(PivotRound {
                 pivot_rows: winner.rows,
                 a00,
-            }
+            })
         }
     }
 }
@@ -163,7 +168,8 @@ mod tests {
             8,
             42,
             3,
-        );
+        )
+        .unwrap();
         let b = select_pivots(
             Mode::Phantom,
             PivotChoice::Synthetic,
@@ -174,7 +180,8 @@ mod tests {
             8,
             42,
             3,
-        );
+        )
+        .unwrap();
         assert_eq!(a.pivot_rows, b.pivot_rows);
         assert_eq!(a.pivot_rows.len(), 8);
         let mut sorted = a.pivot_rows.clone();
@@ -197,7 +204,8 @@ mod tests {
             8,
             42,
             0,
-        );
+        )
+        .unwrap();
         let b = select_pivots(
             Mode::Phantom,
             PivotChoice::Synthetic,
@@ -208,7 +216,8 @@ mod tests {
             8,
             42,
             1,
-        );
+        )
+        .unwrap();
         assert_ne!(a.pivot_rows, b.pivot_rows);
     }
 
@@ -228,7 +237,8 @@ mod tests {
             4,
             0,
             0,
-        );
+        )
+        .unwrap();
         assert_eq!(round.pivot_rows.len(), 4);
         // panel row 17 has global id 34 and must win
         assert!(round.pivot_rows.contains(&34));
@@ -265,7 +275,8 @@ mod tests {
             4,
             9,
             0,
-        );
+        )
+        .unwrap();
         assert_eq!(round.a00.dense().rows(), 4);
     }
 
@@ -299,7 +310,8 @@ mod tests {
             8,
             1,
             0,
-        );
+        )
+        .unwrap();
         assert_eq!(round.pivot_rows.len(), 2);
     }
 }

@@ -29,7 +29,7 @@ use denselin::gemm::{auto_threads, matmul};
 use denselin::matrix::Matrix;
 use denselin::tournament::{local_candidates, lu_no_pivot, playoff_round, Candidates};
 use denselin::trsm::{trsm_lower_left_parallel, trsm_upper_right};
-use simnet::error::SimnetResult;
+use simnet::error::{SimnetError, SimnetResult};
 use simnet::network::BcastAlgo;
 use simnet::stats::Rank;
 use simnet::threaded::{run_spmd_supervised, RankCtx, Supervisor};
@@ -37,7 +37,8 @@ use simnet::topology::Grid3D;
 
 use crate::algorithm::{
     a01_scatter_plan, a01_send_segments, a10_scatter_plan, a10_send_segments,
-    grid_cols_of_trailing, grid_rows_of_live, ConfluxConfig, ConfluxRun, LuError, LuFactors,
+    grid_cols_of_trailing, grid_rows_of_live, ConfluxConfig, ConfluxRun, LuCause, LuError,
+    LuFactors,
 };
 use crate::pivoting::{synthetic_winners, PivotChoice, PivotStrategy};
 use crate::store::rows_by_block;
@@ -183,32 +184,50 @@ pub fn try_factorize_threaded(
     let timeline = report.trace.take();
 
     match report.into_result() {
-        Ok((shards, stats)) => {
+        Ok((outcomes, stats)) => {
+            // every rank reads the same A00 broadcast, so a singular pivot
+            // block stops all of them at the same step
+            let shards: Vec<_> = match outcomes.into_iter().collect() {
+                Ok(shards) => shards,
+                Err((step, column)) => {
+                    return Err(LuError {
+                        error: LuCause::SingularPivot { step, column },
+                        step: Some(step),
+                        stats,
+                        retries,
+                    })
+                }
+            };
             let factors = assemble_shards(n, v, nb, &shards);
             Ok(ConfluxRun {
                 stats,
                 factors: Some(factors),
-                trace: None,
                 timeline,
                 retries,
                 config: cfg.clone(),
             })
         }
         Err(failure) => {
-            // prefer the injected fault (the root cause) over the timeouts
-            // the surviving ranks report as a consequence
-            let error = failure
-                .errors
+            // prefer a root cause, an injected fault or else a panicked
+            // rank, over the timeouts the surviving ranks report as a
+            // consequence
+            let errors = &failure.errors;
+            let error = errors
                 .iter()
                 .find(|e| e.is_injected())
+                .or_else(|| {
+                    errors
+                        .iter()
+                        .find(|e| matches!(e, SimnetError::RankPanicked { .. }))
+                })
                 .unwrap_or(&failure.error)
                 .clone();
             let step = match error {
-                simnet::SimnetError::RankCrashed { step, .. } => Some(step),
+                SimnetError::RankCrashed { step, .. } => Some(step),
                 _ => None,
             };
             Err(LuError {
-                error,
+                error: LuCause::Comm(error),
                 step,
                 stats: failure.stats,
                 retries: failure.retries,
@@ -223,14 +242,16 @@ pub fn factorize_threaded(cfg: &ConfluxConfig, a: &Matrix) -> Result<ConfluxRun,
 }
 
 /// The per-rank SPMD program: the same 11 steps as the orchestrated driver,
-/// acting only on this rank's tiles.
+/// acting only on this rank's tiles. The inner `Err((step, column))` is a
+/// singular pivot block, which every rank learns of from the step-3
+/// broadcast.
 fn rank_program(
     ctx: &mut RankCtx,
     cfg: &ConfluxConfig,
     a: &Matrix,
     topo: &Grid3D,
     nb: usize,
-) -> SimnetResult<Vec<StepShard>> {
+) -> SimnetResult<Result<Vec<StepShard>, (usize, usize)>> {
     let (n, v) = (cfg.n, cfg.v);
     let (q, c) = (cfg.grid.q, cfg.grid.c);
     let p = ctx.p;
@@ -346,17 +367,29 @@ fn rank_program(
         let payload = if ctx.rank == root {
             let w = winner.as_ref().expect("root ran the butterfly");
             debug_assert_eq!(w.rows.len(), v, "tournament must yield v pivots");
-            let a00 = lu_no_pivot(&w.values);
             let mut buf = Vec::with_capacity(v * v + v);
-            buf.extend(w.rows.iter().map(|&r| r as f64));
-            for i in 0..v {
-                buf.extend_from_slice(a00.row(i));
+            match lu_no_pivot(&w.values) {
+                Ok(a00) => {
+                    buf.extend(w.rows.iter().map(|&r| r as f64));
+                    for i in 0..v {
+                        buf.extend_from_slice(a00.row(i));
+                    }
+                }
+                // a singular block travels in the same v*v + v elements:
+                // a negative first row id carries the zero pivot's column
+                Err(e) => {
+                    buf.resize(v * v + v, 0.0);
+                    buf[0] = -1.0 - e.column as f64;
+                }
             }
             Some(buf)
         } else {
             None
         };
         let buf = ctx.try_broadcast(&all_ranks, root, payload, tag_of(t, 3, 0), "03:bcast-a00")?;
+        if buf[0] < 0.0 {
+            return Ok(Err((t, t * v + (-1.0 - buf[0]) as usize)));
+        }
         let pivots: Vec<usize> = buf[..v].iter().map(|&r| r as usize).collect();
         let mut a00 = Matrix::zeros(v, v);
         for i in 0..v {
@@ -590,7 +623,7 @@ fn rank_program(
         });
     }
 
-    Ok(shards)
+    Ok(Ok(shards))
 }
 
 /// Positions `[lo, hi)` of the contiguous 1D chunk `rank` holds out of
@@ -795,7 +828,10 @@ mod tests {
             Ok(_) => panic!("crash plan must fail the run"),
         };
         assert!(t0.elapsed() < Duration::from_secs(5), "must not hang");
-        assert_eq!(err.error, SimnetError::RankCrashed { rank: 5, step: 2 });
+        assert_eq!(
+            err.error,
+            LuCause::Comm(SimnetError::RankCrashed { rank: 5, step: 2 })
+        );
         assert_eq!(err.step, Some(2));
         // two full steps ran before the crash: their traffic is recorded
         assert!(err.stats.sent_in_phase("02:tournament") > 0);

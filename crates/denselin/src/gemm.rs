@@ -4,9 +4,9 @@
 //! workspace. It follows the classic BLIS/GotoBLAS decomposition:
 //!
 //! * the operands are cut into `(mc, kc, nc)` cache blocks
-//!   ([`GemmBlocking`]: persisted per-host tuning via [`crate::tune`],
-//!   else autotuned at first use, overridable via the
-//!   `DENSELIN_GEMM_BLOCK=mc,kc,nc` environment variable),
+//!   ([`GemmBlocking::tuned`]: the `DENSELIN_GEMM_BLOCK=mc,kc,nc`
+//!   environment override, else persisted per-host tuning via
+//!   [`crate::tune`], else [`GemmBlocking::default`]),
 //! * `A` blocks are packed into column-major `mr`-row micro-panels and `B`
 //!   blocks into row-major `nr`-column micro-panels of the selected
 //!   microkernel's geometry, so the innermost loop streams both operands
@@ -34,13 +34,15 @@
 //! parity test layer (`tests/microkernels.rs`) pins every table entry to
 //! it exhaustively.
 //!
-//! Parallelism is a work-stealing tile queue: the `(mc, nc)` macro-tiles of
-//! `C` form a shared queue (an atomic counter) drained by the persistent
-//! [`crate::pool`] worker threads (parked between calls, so a blocked
-//! factorization pays one pool wakeup per trailing update instead of one
-//! thread spawn per call). Each tile performs its own full-`k` reduction in
-//! the same block order as the serial path, so parallel results are bitwise
-//! identical to serial ones.
+//! One driver, [`gemm_with`], takes the threads, blocking and microkernel
+//! explicitly; [`gemm`] (serial) and [`gemm_auto`] (threads by problem
+//! size) resolve them once and call it. Parallelism is a work-stealing tile
+//! queue: the `(mc, nc)` macro-tiles of `C` form a shared queue (an atomic
+//! counter) drained by the persistent [`crate::pool`] worker threads
+//! (parked between calls, so a blocked factorization pays one pool wakeup
+//! per trailing update instead of one thread spawn per call). Each tile
+//! performs its own full-`k` reduction in the same block order as the
+//! serial path, so parallel results are bitwise identical to serial ones.
 //!
 //! Internally the packing and tile-update machinery operates on *strided
 //! views* (`MatView`) rather than owned [`Matrix`] values, so in-place
@@ -375,7 +377,7 @@ fn kernel_names() -> Vec<&'static str> {
 
 /// The fastest-ISA default when neither an override nor a persisted tuning
 /// record selects a kernel. Public so the `tune` bench bin can measure the
-/// heuristic baseline the persisted winner must beat.
+/// default configuration the persisted winner must beat.
 pub fn default_isa_kernel() -> &'static Microkernel {
     for name in ["avx512_8x16", "avx2_8x4", "portable_8x4"] {
         if let Some(k) = Microkernel::by_name(name) {
@@ -443,7 +445,7 @@ pub fn force_kernel(name: &str) -> Result<KernelForce, String> {
     Ok(KernelForce { _lock: lock })
 }
 
-/// The microkernel `gemm`/`gemm_parallel` dispatch right now: an active
+/// The microkernel [`gemm`] and [`gemm_auto`] dispatch right now: an active
 /// [`force_kernel`] guard wins, then the cached default — the
 /// `DENSELIN_GEMM_KERNEL` env override if valid, else the persisted
 /// per-host tuning record, else the fastest supported ISA default.
@@ -516,19 +518,19 @@ impl Default for GemmBlocking {
 impl GemmBlocking {
     /// The blocking used by [`gemm`]: the `DENSELIN_GEMM_BLOCK=mc,kc,nc`
     /// environment override if valid, otherwise the persisted per-host
-    /// tuning record when one exists ([`crate::tune`]), otherwise a
-    /// parameter set autotuned at first use (a one-time ~100 ms probe over
-    /// a small candidate grid). Cached for the process lifetime — the env
-    /// override is validated *before* the cache fills, so a malformed
-    /// value is reported (once, to stderr) instead of silently latching
-    /// the fallback.
+    /// tuning record when one exists ([`crate::tune`]), otherwise
+    /// [`GemmBlocking::default`]. Nothing is timed, so every process on a
+    /// host resolves the same blocking (and, because the accumulation
+    /// order follows `kc`, the same bits). Cached for the process lifetime
+    /// — the env override is validated *before* the cache fills, so a
+    /// malformed value is reported (once, to stderr) instead of silently
+    /// latching the fallback.
     pub fn tuned() -> Self {
         Self::tuned_with_source().0
     }
 
     /// [`Self::tuned`] plus where the decision came from, so the `tune`
-    /// bench bin's reload gate can assert the persisted file is consulted
-    /// instead of re-sweeping.
+    /// bench bin's reload gate can assert the persisted file is consulted.
     pub fn tuned_with_source() -> (Self, crate::tune::TuneSource) {
         static TUNED: OnceLock<(GemmBlocking, crate::tune::TuneSource)> = OnceLock::new();
         *TUNED.get_or_init(|| {
@@ -537,25 +539,20 @@ impl GemmBlocking {
                 Ok(None) => {}
                 Err(msg) => eprintln!(
                     "denselin: ignoring invalid DENSELIN_GEMM_BLOCK ({msg}); falling back to \
-                     tuned/heuristic blocking"
+                     persisted/default blocking"
                 ),
             }
             if let Some(rec) = crate::tune::persisted() {
                 return (rec.blocking, crate::tune::TuneSource::Persisted);
             }
-            (Self::autotune(), crate::tune::TuneSource::Heuristic)
+            (Self::default(), crate::tune::TuneSource::Heuristic)
         })
     }
 
-    /// Parse the `DENSELIN_GEMM_BLOCK=mc,kc,nc` override, if present and
-    /// well-formed (three positive comma-separated integers).
-    pub fn from_env() -> Option<Self> {
-        Self::from_env_checked().ok().flatten()
-    }
-
-    /// Like [`Self::from_env`], but distinguishes "unset" (`Ok(None)`)
-    /// from "set but malformed" (`Err` with a description), so callers can
-    /// warn instead of silently ignoring a user's override.
+    /// Parse the `DENSELIN_GEMM_BLOCK=mc,kc,nc` override: `Ok(None)` when
+    /// unset, `Err` with a description when set but not three positive
+    /// comma-separated integers, so callers can warn instead of silently
+    /// ignoring a user's override.
     pub fn from_env_checked() -> Result<Option<Self>, String> {
         let raw = match std::env::var("DENSELIN_GEMM_BLOCK") {
             Ok(raw) => raw,
@@ -570,70 +567,6 @@ impl GemmBlocking {
                 "expected three positive comma-separated integers `mc,kc,nc`, got `{raw}`"
             )),
         }
-    }
-
-    /// The heuristic blocking probe, uncached: what [`Self::tuned`] falls
-    /// back to when nothing is persisted. Public so the `tune` bench bin
-    /// can measure the baseline the persisted winner must beat.
-    pub fn autotuned_heuristic() -> Self {
-        Self::autotune()
-    }
-
-    /// One-time probe: time a fixed mid-size multiplication under each
-    /// candidate blocking and keep the fastest. Deterministic inputs; only
-    /// the timing (and hence the chosen blocking) is machine-dependent.
-    fn autotune() -> Self {
-        const CANDIDATES: [GemmBlocking; 6] = [
-            GemmBlocking {
-                mc: 64,
-                kc: 128,
-                nc: 256,
-            },
-            GemmBlocking {
-                mc: 96,
-                kc: 192,
-                nc: 384,
-            },
-            GemmBlocking {
-                mc: 128,
-                kc: 256,
-                nc: 512,
-            },
-            GemmBlocking {
-                mc: 192,
-                kc: 256,
-                nc: 512,
-            },
-            GemmBlocking {
-                mc: 256,
-                kc: 256,
-                nc: 512,
-            },
-            GemmBlocking {
-                mc: 256,
-                kc: 384,
-                nc: 512,
-            },
-        ];
-        const N: usize = 240;
-        let a = Matrix::from_fn(N, N, |i, j| ((i * 7 + j * 3) % 23) as f64 * 0.0625 - 0.6);
-        let b = Matrix::from_fn(N, N, |i, j| ((i * 5 + j * 11) % 19) as f64 * 0.0625 - 0.5);
-        let mut c = Matrix::zeros(N, N);
-        let mut best = GemmBlocking::default();
-        let mut best_t = f64::INFINITY;
-        for cand in CANDIDATES {
-            let mut t = f64::INFINITY;
-            for _ in 0..2 {
-                let start = std::time::Instant::now();
-                gemm_blocked(&mut c, 1.0, &a, &b, 0.0, cand);
-                t = t.min(start.elapsed().as_secs_f64());
-            }
-            if t < best_t {
-                best_t = t;
-                best = cand;
-            }
-        }
-        best
     }
 }
 
@@ -651,65 +584,8 @@ impl GemmBlocking {
 /// # Panics
 /// Panics if the shapes are not conformant.
 pub fn gemm(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: f64) {
-    gemm_blocked(c, alpha, a, b, beta, GemmBlocking::tuned());
-}
-
-/// [`gemm`] with explicit blocking parameters. Always takes the packed
-/// register-blocked path (no small-size fallback), so tests can force
-/// awkward blockings through the microkernel.
-pub fn gemm_blocked(
-    c: &mut Matrix,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    blk: GemmBlocking,
-) {
-    gemm_blocked_with(c, alpha, a, b, beta, blk, selected_kernel());
-}
-
-/// [`gemm_blocked`] with an explicit microkernel variant: the tuner's
-/// serial measurement entry and the parity tests' way of pinning every
-/// registered variant without touching the process-wide selection.
-///
-/// # Panics
-/// Panics if the shapes are not conformant or `krn` is unsupported here.
-pub fn gemm_blocked_with(
-    c: &mut Matrix,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    blk: GemmBlocking,
-    krn: &Microkernel,
-) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "gemm: inner dimensions must match");
-    assert_eq!(c.shape(), (m, n), "gemm: output shape must be (m, n)");
-    assert!(
-        krn.supported(),
-        "microkernel `{}` unsupported here",
-        krn.name
-    );
-
-    scale_in_place(c, beta);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    // SAFETY: `c` is exactly `m x n` with row stride `n`, exclusively
-    // borrowed; `a`/`b` are shared borrows, not mutated during the call.
-    unsafe {
-        serial_update(
-            c.as_mut_slice().as_mut_ptr(),
-            n,
-            alpha,
-            MatView::of(a),
-            MatView::of(b),
-            blk,
-            krn,
-        );
-    }
+    let (blk, krn) = (GemmBlocking::tuned(), selected_kernel());
+    gemm_with(c, alpha, a, b, beta, 1, blk, krn);
 }
 
 /// `C[r0..r0+m, c0..c0+n] += alpha * A * B` for an `m x k` `A` and a
@@ -829,8 +705,7 @@ pub fn gemm_reference(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: 
 /// block) and on whether the reduction fuses multiply-add — never on the
 /// `(mr, nr)` register tiling or the `(mc, nc)` macro-tiling. Pass the
 /// blocking's `kc` and the variant's `fused` flag; the parity test layer
-/// asserts `gemm_blocked_with` (and the parallel path at every thread
-/// count) matches this bit for bit.
+/// asserts [`gemm_with`] matches this bit for bit at every thread count.
 pub fn gemm_emulated(
     c: &mut Matrix,
     alpha: f64,
@@ -870,63 +745,21 @@ pub fn gemm_emulated(
     }
 }
 
-/// Per-worker tile counts from one [`gemm_parallel_report`] run, used to
-/// assert load balance in tests.
-#[derive(Clone, Debug)]
-pub struct TileQueueReport {
-    /// Total `(mc, nc)` macro-tiles of `C` that were enqueued.
-    pub tiles: usize,
-    /// Tiles drained by each spawned worker (length = workers spawned).
-    pub tiles_per_worker: Vec<usize>,
-}
-
-/// `C <- alpha * A * B + beta * C` with the `(mc, nc)` macro-tiles of `C`
-/// drained from a shared work queue by `threads` workers of the persistent
-/// process-wide [`crate::pool`].
+/// `C <- alpha * A * B + beta * C` with explicit threads, blocking and
+/// microkernel: the one packed GEMM driver every other entry point calls.
 ///
+/// At `threads == 1`, or below `64^3` multiply-adds, it runs the serial
+/// macro-loop over the `(mc, nc)` tiles of `C`. Otherwise those tiles form
+/// a shared queue (an atomic counter) drained by `threads` workers of the
+/// persistent process-wide [`crate::pool`], never more workers than tiles.
 /// Each tile performs its full `k` reduction in the same `kc`-block order
-/// as the serial path, so the result is bitwise identical to [`gemm`].
-/// Falls back to the serial path for tiny inputs.
-pub fn gemm_parallel(
-    c: &mut Matrix,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    threads: usize,
-) {
-    let _ = gemm_parallel_report(c, alpha, a, b, beta, threads);
-}
-
-/// [`gemm_parallel`], returning the per-worker tile counts.
-pub fn gemm_parallel_report(
-    c: &mut Matrix,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    threads: usize,
-) -> TileQueueReport {
-    gemm_parallel_with(
-        c,
-        alpha,
-        a,
-        b,
-        beta,
-        threads,
-        GemmBlocking::tuned(),
-        selected_kernel(),
-    )
-}
-
-/// [`gemm_parallel_report`] with explicit blocking and microkernel: the
-/// tuner's threaded measurement entry, and how the parity tests pin every
-/// variant at every thread count.
+/// as the serial loop, so the result is bitwise identical at every thread
+/// count, and bitwise [`gemm_emulated`] with `blk.kc` and `krn.fused`.
 ///
 /// # Panics
 /// Panics if the shapes are not conformant or `krn` is unsupported here.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_parallel_with(
+pub fn gemm_with(
     c: &mut Matrix,
     alpha: f64,
     a: &Matrix,
@@ -935,45 +768,34 @@ pub fn gemm_parallel_with(
     threads: usize,
     blk: GemmBlocking,
     krn: &Microkernel,
-) -> TileQueueReport {
+) {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm: inner dimensions must match");
     assert_eq!(c.shape(), (m, n), "gemm: output shape must be (m, n)");
-
-    let threads = threads.max(1);
-    if threads == 1 || m * n * k < 64 * 64 * 64 {
-        gemm_blocked_with(c, alpha, a, b, beta, blk, krn);
-        return TileQueueReport {
-            tiles: 1,
-            tiles_per_worker: vec![1],
-        };
-    }
-
     assert!(
         krn.supported(),
         "microkernel `{}` unsupported here",
         krn.name
     );
+
     scale_in_place(c, beta);
-    if alpha == 0.0 {
-        return TileQueueReport {
-            tiles: 0,
-            tiles_per_worker: Vec::new(),
-        };
+    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let cptr = pool::SyncPtr(c.as_mut_slice().as_mut_ptr());
+    let (av, bv) = (MatView::of(a), MatView::of(b));
+    if threads <= 1 || m * n * k < 64 * 64 * 64 {
+        // SAFETY: `c` is exactly `m x n` with row stride `n`, exclusively
+        // borrowed; `a`/`b` are shared borrows, not mutated during the call.
+        unsafe { serial_update(cptr.get(), n, alpha, av, bv, blk, krn) };
+        return;
     }
 
-    let mtiles = m.div_ceil(blk.mc);
     let ntiles = n.div_ceil(blk.nc);
-    let tiles = mtiles * ntiles;
-    let workers = threads.min(tiles);
+    let tiles = m.div_ceil(blk.mc) * ntiles;
     let next = AtomicUsize::new(0);
-    let cptr = pool::SyncPtr(c.as_mut_slice().as_mut_ptr());
-    let ldc = n;
-    let (av, bv) = (MatView::of(a), MatView::of(b));
-    let drained: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-
-    pool::global().run(workers, &|w| {
+    pool::global().run(threads.min(tiles), &|_| {
         let mut abuf = Vec::new();
         let mut bbuf = Vec::new();
         loop {
@@ -981,11 +803,8 @@ pub fn gemm_parallel_with(
             if t >= tiles {
                 break;
             }
-            let (ti, tj) = (t / ntiles, t % ntiles);
-            let i0 = ti * blk.mc;
-            let mh = blk.mc.min(m - i0);
-            let j0 = tj * blk.nc;
-            let nw = blk.nc.min(n - j0);
+            let i0 = t / ntiles * blk.mc;
+            let j0 = t % ntiles * blk.nc;
             // SAFETY: the atomic counter hands each tile index to exactly
             // one worker, tile (i0..i0+mh, j0..j0+nw) regions are pairwise
             // disjoint, and cptr/views borrow `c`/`a`/`b` which outlive the
@@ -993,45 +812,38 @@ pub fn gemm_parallel_with(
             unsafe {
                 packed_tile_update(
                     cptr.get(),
-                    ldc,
+                    n,
                     alpha,
                     av,
                     bv,
                     i0,
-                    mh,
+                    blk.mc.min(m - i0),
                     j0,
-                    nw,
+                    blk.nc.min(n - j0),
                     blk,
                     krn,
                     &mut abuf,
                     &mut bbuf,
                 );
             }
-            drained[w].fetch_add(1, Ordering::Relaxed);
         }
     });
-
-    TileQueueReport {
-        tiles,
-        tiles_per_worker: drained.into_iter().map(AtomicUsize::into_inner).collect(),
-    }
 }
 
 /// `C <- alpha * A * B + beta * C`, picking serial vs tile-queue-parallel
-/// automatically: large problems fan out over all available cores
+/// automatically: large problems fan out over [`auto_threads`] workers
 /// (overridable via `DENSELIN_THREADS`), small ones stay serial.
 ///
 /// This is the entry point the blocked factorizations and the distributed
 /// drivers' local updates go through.
 pub fn gemm_auto(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: f64) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let threads = auto_threads();
-    if threads > 1 && m * n * k >= 128 * 128 * 128 {
-        gemm_parallel(c, alpha, a, b, beta, threads);
+    let threads = if a.rows() * b.cols() * a.cols() >= 128 * 128 * 128 {
+        auto_threads()
     } else {
-        gemm(c, alpha, a, b, beta);
-    }
+        1
+    };
+    let (blk, krn) = (GemmBlocking::tuned(), selected_kernel());
+    gemm_with(c, alpha, a, b, beta, threads, blk, krn);
 }
 
 /// Thread count used by [`gemm_auto`], [`lu_parallel`][mod@crate::lu_parallel] and the
@@ -1452,18 +1264,13 @@ mod tests {
         let a = Matrix::random(&mut rng, 23, 31);
         let b = Matrix::random(&mut rng, 31, 19);
         let mut c = Matrix::zeros(23, 19);
-        gemm_blocked(
-            &mut c,
-            1.0,
-            &a,
-            &b,
-            0.0,
-            GemmBlocking {
-                mc: 3,
-                kc: 5,
-                nc: 7,
-            },
-        );
+        let blk = GemmBlocking {
+            mc: 3,
+            kc: 5,
+            nc: 7,
+        };
+        let krn = selected_kernel();
+        gemm_with(&mut c, 1.0, &a, &b, 0.0, 1, blk, krn);
         assert!(c.allclose(&naive(&a, &b), 1e-10));
     }
 
@@ -1473,13 +1280,14 @@ mod tests {
         // sub-microkernel tiles, exact MR/NR multiples, one-past multiples.
         let sizes = [1usize, 2, 3, 5, 7, 8, 9, 13, 16, 17, 31, 33];
         let mut rng = SplitMix64::new(40);
+        let (blk, krn) = (GemmBlocking::default(), selected_kernel());
         for &m in &sizes {
             for &n in &sizes {
                 for &k in &sizes {
                     let a = Matrix::random(&mut rng, m, k);
                     let b = Matrix::random(&mut rng, k, n);
                     let mut c = Matrix::zeros(m, n);
-                    gemm_blocked(&mut c, 1.0, &a, &b, 0.0, GemmBlocking::default());
+                    gemm_with(&mut c, 1.0, &a, &b, 0.0, 1, blk, krn);
                     assert!(
                         c.allclose(&naive(&a, &b), 1e-10),
                         "packed gemm mismatch at m={m} n={n} k={k}"
@@ -1493,6 +1301,7 @@ mod tests {
     fn packed_fringe_smaller_than_microkernel() {
         // Whole problems smaller than one MR x NR register tile.
         let mut rng = SplitMix64::new(41);
+        let (blk, krn) = (GemmBlocking::default(), selected_kernel());
         for (m, n, k) in [
             (1, 1, 1),
             (2, 3, 2),
@@ -1503,7 +1312,7 @@ mod tests {
             let b = Matrix::random(&mut rng, k, n);
             let c0 = Matrix::random(&mut rng, m, n);
             let mut c = c0.clone();
-            gemm_blocked(&mut c, 1.5, &a, &b, -0.5, GemmBlocking::default());
+            gemm_with(&mut c, 1.5, &a, &b, -0.5, 1, blk, krn);
             let mut expect = c0.clone();
             gemm_reference(&mut expect, 1.5, &a, &b, -0.5);
             assert!(c.allclose(&expect, 1e-12), "m={m} n={n} k={k}");
@@ -1515,11 +1324,12 @@ mod tests {
         let mut rng = SplitMix64::new(42);
         let a = Matrix::random(&mut rng, 37, 29);
         let b = Matrix::random(&mut rng, 29, 41);
+        let (blk, krn) = (GemmBlocking::default(), selected_kernel());
         for &alpha in &[0.0, 1.0, -1.0, 2.5] {
             for &beta in &[0.0, 1.0, -1.0, 0.5] {
                 let c0 = Matrix::random(&mut rng, 37, 41);
                 let mut c_packed = c0.clone();
-                gemm_blocked(&mut c_packed, alpha, &a, &b, beta, GemmBlocking::default());
+                gemm_with(&mut c_packed, alpha, &a, &b, beta, 1, blk, krn);
                 let mut c_ref = c0.clone();
                 gemm_reference(&mut c_ref, alpha, &a, &b, beta);
                 assert!(
@@ -1537,10 +1347,11 @@ mod tests {
         let b = Matrix::random(&mut rng, 70, 70);
         let expect = naive(&a, &b);
         let mut c = Matrix::from_fn(70, 70, |_, _| f64::NAN);
-        gemm_blocked(&mut c, 1.0, &a, &b, 0.0, GemmBlocking::default());
+        let (blk, krn) = (GemmBlocking::default(), selected_kernel());
+        gemm_with(&mut c, 1.0, &a, &b, 0.0, 1, blk, krn);
         assert!(c.allclose(&expect, 1e-10));
         let mut cp = Matrix::from_fn(70, 70, |_, _| f64::INFINITY);
-        gemm_parallel(&mut cp, 1.0, &a, &b, 0.0, 3);
+        gemm_with(&mut cp, 1.0, &a, &b, 0.0, 3, GemmBlocking::tuned(), krn);
         assert!(cp.allclose(&expect, 1e-10));
     }
 
@@ -1553,7 +1364,8 @@ mod tests {
         let mut c_serial = c0.clone();
         gemm(&mut c_serial, 1.5, &a, &b, 0.5);
         let mut c_par = c0.clone();
-        gemm_parallel(&mut c_par, 1.5, &a, &b, 0.5, 4);
+        let (blk, krn) = (GemmBlocking::tuned(), selected_kernel());
+        gemm_with(&mut c_par, 1.5, &a, &b, 0.5, 4, blk, krn);
         assert!(c_par.allclose(&c_serial, 1e-10));
     }
 
@@ -1568,53 +1380,43 @@ mod tests {
         let mut c_serial = c0.clone();
         gemm(&mut c_serial, -1.25, &a, &b, 0.75);
         let mut c_par = c0.clone();
-        gemm_parallel(&mut c_par, -1.25, &a, &b, 0.75, 5);
+        let (blk, krn) = (GemmBlocking::tuned(), selected_kernel());
+        gemm_with(&mut c_par, -1.25, &a, &b, 0.75, 5, blk, krn);
         assert_eq!(c_serial.as_slice(), c_par.as_slice());
     }
 
     #[test]
     fn tile_queue_load_balance() {
-        // The row-band split used to strand the last thread with a short
-        // (possibly empty) band. The tile queue must (a) cover every tile
-        // exactly once, (b) never spawn more workers than tiles.
+        // m chosen so a row-band split (div_ceil) would leave an empty band:
+        // the tile queue must still cover every tile exactly once, which
+        // shows as bitwise agreement with the scalar oracle.
         let mut rng = SplitMix64::new(45);
-        let blk = GemmBlocking::tuned();
-        // m chosen so the old band split (div_ceil) would leave an empty band.
+        let (blk, krn) = (GemmBlocking::tuned(), selected_kernel());
         let m = 3 * blk.mc + 1;
         let n = 2 * blk.nc + 3;
         let k = 80;
         let a = Matrix::random(&mut rng, m, k);
         let b = Matrix::random(&mut rng, k, n);
         let mut c = Matrix::zeros(m, n);
-        let report = gemm_parallel_report(&mut c, 1.0, &a, &b, 0.0, 4);
-        let expect_tiles = m.div_ceil(blk.mc) * n.div_ceil(blk.nc);
-        assert_eq!(report.tiles, expect_tiles);
-        assert_eq!(
-            report.tiles_per_worker.iter().sum::<usize>(),
-            expect_tiles,
-            "every tile must be drained exactly once"
-        );
-        assert!(
-            report.tiles_per_worker.len() <= expect_tiles.min(4),
-            "no idle workers may be spawned"
-        );
-        // And the result is still right.
-        let mut c_ref = Matrix::zeros(m, n);
-        gemm_reference(&mut c_ref, 1.0, &a, &b, 0.0);
-        assert!(c.allclose(&c_ref, 1e-9));
+        gemm_with(&mut c, 1.0, &a, &b, 0.0, 4, blk, krn);
+        let mut e = Matrix::zeros(m, n);
+        gemm_emulated(&mut e, 1.0, &a, &b, 0.0, blk.kc, krn.fused);
+        assert_eq!(c.as_slice(), e.as_slice());
     }
 
     #[test]
     fn more_workers_than_tiles_is_clamped() {
+        // one tile, sixteen requested workers
         let mut rng = SplitMix64::new(46);
-        let blk = GemmBlocking::tuned();
+        let (blk, krn) = (GemmBlocking::tuned(), selected_kernel());
         let (m, n, k) = (blk.mc, blk.nc, 70);
         let a = Matrix::random(&mut rng, m, k);
         let b = Matrix::random(&mut rng, k, n);
         let mut c = Matrix::zeros(m, n);
-        let report = gemm_parallel_report(&mut c, 1.0, &a, &b, 0.0, 16);
-        assert_eq!(report.tiles, 1);
-        assert_eq!(report.tiles_per_worker.len(), 1);
+        gemm_with(&mut c, 1.0, &a, &b, 0.0, 16, blk, krn);
+        let mut e = Matrix::zeros(m, n);
+        gemm_emulated(&mut e, 1.0, &a, &b, 0.0, blk.kc, krn.fused);
+        assert_eq!(c.as_slice(), e.as_slice());
     }
 
     #[test]
@@ -1632,35 +1434,29 @@ mod tests {
 
     #[test]
     fn blocking_env_parse() {
-        // from_env reads the live environment; exercise the parser via a
-        // guarded set/remove (tests in this binary run in-process).
+        // from_env_checked reads the live environment; exercise the parser
+        // via a guarded set/remove (tests in this binary run in-process).
         std::env::set_var("DENSELIN_GEMM_BLOCK", "32, 64,128");
         assert_eq!(
-            GemmBlocking::from_env(),
-            Some(GemmBlocking {
+            GemmBlocking::from_env_checked(),
+            Ok(Some(GemmBlocking {
                 mc: 32,
                 kc: 64,
                 nc: 128
-            })
+            }))
         );
         // Malformed values must be *reported* (Err), not silently dropped:
         // tuned() warns on this instead of latching the fallback quietly.
         std::env::set_var("DENSELIN_GEMM_BLOCK", "bogus");
-        assert_eq!(GemmBlocking::from_env(), None);
         assert!(GemmBlocking::from_env_checked()
             .unwrap_err()
             .contains("bogus"));
-        std::env::set_var("DENSELIN_GEMM_BLOCK", "1,2");
-        assert_eq!(GemmBlocking::from_env(), None);
-        assert!(GemmBlocking::from_env_checked().is_err());
-        std::env::set_var("DENSELIN_GEMM_BLOCK", "0,2,3");
-        assert_eq!(GemmBlocking::from_env(), None);
-        assert!(GemmBlocking::from_env_checked().is_err());
-        std::env::set_var("DENSELIN_GEMM_BLOCK", "1,2,3,4");
-        assert!(GemmBlocking::from_env_checked().is_err());
+        for bad in ["1,2", "0,2,3", "1,2,3,4"] {
+            std::env::set_var("DENSELIN_GEMM_BLOCK", bad);
+            assert!(GemmBlocking::from_env_checked().is_err(), "{bad}");
+        }
         // Unset is Ok(None), not an error.
         std::env::remove_var("DENSELIN_GEMM_BLOCK");
-        assert_eq!(GemmBlocking::from_env(), None);
         assert_eq!(GemmBlocking::from_env_checked(), Ok(None));
     }
 
@@ -1709,7 +1505,7 @@ mod tests {
         };
         for krn in microkernels().iter().filter(|k| k.supported()) {
             let mut c = c0.clone();
-            gemm_blocked_with(&mut c, -1.5, &a, &b, 0.25, blk, krn);
+            gemm_with(&mut c, -1.5, &a, &b, 0.25, 1, blk, krn);
             let mut e = c0.clone();
             gemm_emulated(&mut e, -1.5, &a, &b, 0.25, blk.kc, krn.fused);
             assert_eq!(c.as_slice(), e.as_slice(), "kernel {}", krn.name);

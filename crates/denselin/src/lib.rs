@@ -6,18 +6,23 @@
 //! validate full factorizations numerically:
 //!
 //! * [`matrix`] — the row-major [`matrix::Matrix`] type,
-//! * [`mod@gemm`] — packed register-blocked matrix multiply with a
-//!   work-stealing tile-queue parallel path,
+//! * [`mod@gemm`] — packed register-blocked matrix multiply: one driver,
+//!   [`gemm_with`] (explicit threads, blocking and microkernel, with a
+//!   work-stealing tile-queue parallel path), the [`gemm()`] / [`gemm_auto`]
+//!   front ends that resolve those once, and the
+//!   [`gemm::gemm_reference`] / [`gemm_emulated`] oracles,
 //! * [`trsm`] — the four triangular-solve variants LU needs, with
 //!   column-sliced parallel left-solves for multi-RHS batches,
-//! * [`lu`] — partial-pivoting LU (unblocked + blocked right-looking),
-//! * [`lu_parallel`][mod@lu_parallel] — the lookahead-pipelined
-//!   multithreaded LU, bitwise
-//!   identical to [`lu::lu_blocked`],
+//! * [`lu_parallel`][mod@lu_parallel] — the production LU driver:
+//!   lookahead-pipelined, multithreaded, partial pivoting,
+//! * [`lu`] — the factorization type plus two references:
+//!   [`lu_unblocked`] (the tolerance oracle) and [`lu_blocked`] (the
+//!   bitwise reference [`lu_parallel()`] is tested against),
 //! * [`pool`] — the persistent worker pool every parallel kernel shares,
-//! * [`tune`] — persistent per-host microkernel/blocking autotuning (the
+//! * [`tune`] — persistent per-host microkernel/blocking tuning (the
 //!   macro-generated variant table lives in [`mod@gemm`]; the `tune`
-//!   bench bin sweeps it and persists the winner),
+//!   bench bin sweeps it and persists the winner, and a process without a
+//!   record uses [`GemmBlocking::default`]),
 //! * [`tournament`] — communication-avoiding tournament pivoting,
 //! * [`rng`] — SplitMix64, the workspace's one seeded generator, and the
 //!   seeded property-case runner,
@@ -25,16 +30,16 @@
 //!
 //! # Example
 //!
-//! Factor a small matrix with blocked partial-pivoting LU and verify
-//! `P·A ≈ L·U` through the residual:
+//! Factor a small matrix with the lookahead partial-pivoting LU and
+//! verify `P·A ≈ L·U` through the residual:
 //!
 //! ```
-//! use denselin::{lu_blocked, Matrix};
+//! use denselin::{lu_parallel, Matrix};
 //!
 //! let a = Matrix::from_fn(8, 8, |i, j| {
 //!     if i == j { 4.0 } else { 1.0 / (2.0 + i as f64 + j as f64) }
 //! });
-//! let f = lu_blocked(&a, 4).expect("well conditioned");
+//! let f = lu_parallel(&a, 4).expect("well conditioned");
 //! assert!(f.residual(&a) < 1e-12);
 //! ```
 
@@ -59,9 +64,8 @@ pub use blockcyclic::{BlockCyclic1D, BlockCyclic2D};
 pub use cholesky::{cholesky_blocked, cholesky_unblocked, NotPositiveDefinite};
 pub use condition::{condition_estimate, one_norm};
 pub use gemm::{
-    auto_threads, default_isa_kernel, force_kernel, gemm, gemm_auto, gemm_blocked,
-    gemm_blocked_with, gemm_emulated, gemm_parallel, gemm_update_block, matmul, microkernels,
-    selected_kernel, GemmBlocking, Microkernel,
+    auto_threads, default_isa_kernel, force_kernel, gemm, gemm_auto, gemm_emulated,
+    gemm_update_block, gemm_with, matmul, microkernels, selected_kernel, GemmBlocking, Microkernel,
 };
 pub use lu::{lu_blocked, lu_unblocked, LuFactorization, SingularMatrix};
 pub use lu_parallel::{lu_parallel, lu_parallel_with};

@@ -1,9 +1,12 @@
 //! LU factorization with partial pivoting (LAPACK `getrf` substitute).
 //!
-//! Provides an unblocked reference kernel, a blocked right-looking variant
-//! (panel + TRSM + GEMM), permutation bookkeeping, linear solves, and the
-//! verification helpers (residual, growth factor) used to validate every
-//! distributed LU in the workspace.
+//! Provides the factorization type with its linear solves, permutation
+//! bookkeeping, and the verification helpers (residual, growth factor) used
+//! to validate every LU in the workspace, plus two reference kernels: the
+//! unblocked tolerance oracle and a blocked right-looking variant (panel +
+//! TRSM + GEMM) that the production driver,
+//! [`lu_parallel`](crate::lu_parallel::lu_parallel), must match bit for
+//! bit.
 
 use crate::gemm::gemm_auto;
 use crate::matrix::Matrix;
@@ -82,7 +85,9 @@ pub fn lu_unblocked(a: &Matrix) -> Result<LuFactorization, SingularMatrix> {
 }
 
 /// Factor a copy of `a` using blocked right-looking partial-pivoting LU
-/// with panel width `nb`.
+/// with panel width `nb`: the serial bitwise reference for
+/// [`lu_parallel`](crate::lu_parallel::lu_parallel), which production code
+/// calls instead.
 ///
 /// ```
 /// use denselin::{lu::lu_blocked, matrix::Matrix, SplitMix64};

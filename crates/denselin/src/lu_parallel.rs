@@ -1,5 +1,9 @@
-//! Multithreaded right-looking blocked LU with **lookahead**, bitwise
-//! identical to [`lu_blocked`](crate::lu::lu_blocked).
+//! Multithreaded right-looking blocked LU with **lookahead**: the one LU
+//! driver production code calls (the service's local factorizations, the
+//! benchmarks). It is bitwise identical to the serial reference
+//! [`lu_blocked`](crate::lu::lu_blocked), which the tests, the verifier and
+//! `perfsmoke` compare it against, and faster than it at every thread
+//! count, including one.
 //!
 //! `lu_blocked` serializes each step: panel factorization (latency-bound,
 //! ~O(n·nb²) flops) blocks the trailing update (the GEMM-rich O(n²·nb)

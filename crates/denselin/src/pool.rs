@@ -1,12 +1,12 @@
 //! A persistent worker pool shared by every parallel kernel in the crate.
 //!
-//! [`gemm_parallel`](crate::gemm::gemm_parallel) used to spawn scoped
-//! threads per call, which put thread creation (~50 µs each) on the
-//! critical path of every trailing update of a blocked factorization. This
-//! pool spawns its helper threads once per process, parks them on a condvar
-//! between jobs, and hands out *jobs* — a closure run once per worker index
-//! — so a factorization-sized pipeline pays one wakeup per phase instead of
-//! one thread spawn per GEMM call.
+//! The parallel GEMM path ([`gemm_with`](crate::gemm::gemm_with)) used to
+//! spawn scoped threads per call, which put thread creation (~50 µs each)
+//! on the critical path of every trailing update of a blocked
+//! factorization. This pool spawns its helper threads once per process,
+//! parks them on a condvar between jobs, and hands out *jobs* — a closure
+//! run once per worker index — so a factorization-sized pipeline pays one
+//! wakeup per phase instead of one thread spawn per GEMM call.
 //!
 //! Design constraints, in order:
 //!

@@ -114,7 +114,7 @@ mod tests {
         for i in 0..n {
             a[(i, i)] += 0.05; // avoid exact zeros, stay poorly pivoted
         }
-        let lu = lu_no_pivot(&a);
+        let lu = lu_no_pivot(&a).unwrap();
         let f = LuFactorization {
             lu,
             perm: (0..n).collect(),

@@ -17,7 +17,7 @@
 //! ([`select_pivots_reference`]) and the building blocks the distributed
 //! code drives step by step ([`local_candidates`], [`playoff_round`]).
 
-use crate::lu::{lu_unblocked, LuFactorization};
+use crate::lu::{lu_unblocked, SingularMatrix};
 use crate::matrix::Matrix;
 
 /// Outcome of pivot selection on a panel.
@@ -44,12 +44,16 @@ pub struct Candidates {
 /// Reference pivot selection: run partial-pivoting LU on the whole panel and
 /// take the first `min(v, m)` pivot rows. This is what a non-communication-
 /// avoiding library would do, and it is the stability yardstick.
-pub fn select_pivots_reference(panel: &Matrix, v: usize) -> PivotSelection {
+///
+/// # Errors
+/// [`SingularMatrix`] when the chosen rows are singular (see
+/// [`factor_chosen`]).
+pub fn select_pivots_reference(panel: &Matrix, v: usize) -> Result<PivotSelection, SingularMatrix> {
     let v = v.min(panel.rows());
     let pivot_rows: Vec<usize> = pivot_order(panel)[..v].to_vec();
     let chosen = panel.gather_rows(&pivot_rows);
-    let a00 = factor_chosen(&chosen);
-    PivotSelection { pivot_rows, a00 }
+    let a00 = factor_chosen(&chosen)?;
+    Ok(PivotSelection { pivot_rows, a00 })
 }
 
 /// Partial-pivoting row order of `panel`, tolerating rank deficiency: a
@@ -136,7 +140,15 @@ pub fn playoff_round(a: &Candidates, b: &Candidates, v: usize) -> Candidates {
 
 /// Full tournament over `parts` row groups (serial driver used for testing
 /// and by the single-rank fallback paths).
-pub fn tournament_pivots(panel: &Matrix, v: usize, parts: usize) -> PivotSelection {
+///
+/// # Errors
+/// [`SingularMatrix`] when the winning rows are singular, which only a
+/// rank-deficient panel can produce (see [`factor_chosen`]).
+pub fn tournament_pivots(
+    panel: &Matrix,
+    v: usize,
+    parts: usize,
+) -> Result<PivotSelection, SingularMatrix> {
     let m = panel.rows();
     assert!(parts >= 1);
     let group = m.div_ceil(parts.max(1)).max(1);
@@ -165,38 +177,44 @@ pub fn tournament_pivots(panel: &Matrix, v: usize, parts: usize) -> PivotSelecti
     }
     let winner = sets.pop().expect("panel must be non-empty");
     let chosen = panel.gather_rows(&winner.rows);
-    let a00 = factor_chosen(&chosen);
-    PivotSelection {
+    let a00 = factor_chosen(&chosen)?;
+    Ok(PivotSelection {
         pivot_rows: winner.rows,
         a00,
-    }
+    })
 }
 
 /// Factor the selected `v x v` pivot block *without* further row exchanges
 /// (the tournament already ordered the rows); returns packed `L\U`.
 ///
-/// # Panics
-/// Panics if the chosen rows are numerically singular — the tournament
-/// guarantees a well-conditioned choice for full-rank panels.
-pub fn factor_chosen(chosen: &Matrix) -> Matrix {
-    let f: LuFactorization = lu_unblocked(chosen).expect("chosen pivot rows singular");
+/// # Errors
+/// [`SingularMatrix`] when the chosen rows are singular. The tournament
+/// picks a nonsingular block from every full-rank panel; a rank-deficient
+/// panel has none to pick.
+pub fn factor_chosen(chosen: &Matrix) -> Result<Matrix, SingularMatrix> {
+    let f = lu_unblocked(chosen)?;
     // The tournament picks rows so that no further swapping is *needed* for
     // stability, but lu_unblocked may still reorder; undo by refactoring
     // without pivoting to keep row identities stable.
     if f.perm.iter().enumerate().all(|(i, &p)| i == p) {
-        return f.lu;
+        return Ok(f.lu);
     }
     lu_no_pivot(chosen)
 }
 
-/// LU without pivoting (used on tournament-selected blocks, which are
-/// guaranteed to have acceptable pivots on the diagonal path).
-pub fn lu_no_pivot(a: &Matrix) -> Matrix {
+/// LU without pivoting (used on tournament-selected blocks, whose diagonal
+/// path has acceptable pivots whenever the panel has full rank).
+///
+/// # Errors
+/// [`SingularMatrix`] naming the first column whose pivot is exactly zero.
+pub fn lu_no_pivot(a: &Matrix) -> Result<Matrix, SingularMatrix> {
     let mut lu = a.clone();
     let (m, n) = lu.shape();
     for k in 0..n.min(m) {
         let pivot = lu[(k, k)];
-        assert!(pivot != 0.0, "zero pivot in no-pivot LU at {k}");
+        if pivot == 0.0 {
+            return Err(SingularMatrix { column: k });
+        }
         for i in k + 1..m {
             let lik = lu[(i, k)] / pivot;
             lu[(i, k)] = lik;
@@ -211,7 +229,7 @@ pub fn lu_no_pivot(a: &Matrix) -> Matrix {
             }
         }
     }
-    lu
+    Ok(lu)
 }
 
 #[cfg(test)]
@@ -227,7 +245,7 @@ mod tests {
     fn reference_selection_matches_partial_pivoting_rows() {
         let mut rng = SplitMix64::new(40);
         let panel = Matrix::random(&mut rng, 20, 4);
-        let sel = select_pivots_reference(&panel, 4);
+        let sel = select_pivots_reference(&panel, 4).unwrap();
         assert_eq!(sel.pivot_rows.len(), 4);
         // all pivot rows distinct and in range
         let mut sorted = sel.pivot_rows.clone();
@@ -242,7 +260,7 @@ mod tests {
         let mut rng = SplitMix64::new(41);
         for parts in [1, 2, 3, 4, 8] {
             let panel = Matrix::random(&mut rng, 64, 8);
-            let sel = tournament_pivots(&panel, 8, parts);
+            let sel = tournament_pivots(&panel, 8, parts).unwrap();
             assert_eq!(sel.pivot_rows.len(), 8, "parts={parts}");
             let mut sorted = sel.pivot_rows.clone();
             sorted.sort_unstable();
@@ -255,7 +273,7 @@ mod tests {
     fn a00_factors_the_chosen_rows() {
         let mut rng = SplitMix64::new(42);
         let panel = Matrix::random(&mut rng, 32, 6);
-        let sel = tournament_pivots(&panel, 6, 4);
+        let sel = tournament_pivots(&panel, 6, 4).unwrap();
         let chosen = panel.gather_rows(&sel.pivot_rows);
         let recon = sel.a00.unit_lower().matmul(&sel.a00.upper());
         assert!(
@@ -272,8 +290,8 @@ mod tests {
         let mut worst_ratio: f64 = 0.0;
         for _ in 0..20 {
             let panel = Matrix::random(&mut rng, 48, 6);
-            let t = tournament_pivots(&panel, 6, 4);
-            let r = select_pivots_reference(&panel, 6);
+            let t = tournament_pivots(&panel, 6, 4).unwrap();
+            let r = select_pivots_reference(&panel, 6).unwrap();
             let ratio = growth_of_selection(&panel, &t) / growth_of_selection(&panel, &r);
             worst_ratio = worst_ratio.max(ratio);
         }
@@ -287,8 +305,8 @@ mod tests {
     fn single_part_tournament_equals_reference() {
         let mut rng = SplitMix64::new(44);
         let panel = Matrix::random(&mut rng, 24, 5);
-        let t = tournament_pivots(&panel, 5, 1);
-        let r = select_pivots_reference(&panel, 5);
+        let t = tournament_pivots(&panel, 5, 1).unwrap();
+        let r = select_pivots_reference(&panel, 5).unwrap();
         assert_eq!(t.pivot_rows, r.pivot_rows);
     }
 
@@ -299,7 +317,7 @@ mod tests {
         let mut panel = Matrix::random(&mut rng, 16, 2);
         panel[(11, 0)] = 1000.0;
         panel[(11, 1)] = -999.0;
-        let sel = tournament_pivots(&panel, 2, 4);
+        let sel = tournament_pivots(&panel, 2, 4).unwrap();
         assert!(
             sel.pivot_rows.contains(&11),
             "dominant row must win the tournament"
@@ -310,7 +328,7 @@ mod tests {
     fn panel_shorter_than_v() {
         let mut rng = SplitMix64::new(46);
         let panel = Matrix::random(&mut rng, 3, 8);
-        let sel = tournament_pivots(&panel, 8, 2);
+        let sel = tournament_pivots(&panel, 8, 2).unwrap();
         assert_eq!(sel.pivot_rows.len(), 3);
     }
 
@@ -341,7 +359,7 @@ mod tests {
             }
         });
         for parts in [1, 2, 3, 4] {
-            let sel = tournament_pivots(&panel, v, parts);
+            let sel = tournament_pivots(&panel, v, parts).unwrap();
             assert_eq!(sel.pivot_rows.len(), v, "parts={parts}");
             // the selected rows must be independent (rows 0 and 1 are the
             // only independent pair up to duplicates)
@@ -355,8 +373,26 @@ mod tests {
     fn lu_no_pivot_reconstructs() {
         let mut rng = SplitMix64::new(47);
         let a = Matrix::random_diagonally_dominant(&mut rng, 12);
-        let lu = lu_no_pivot(&a);
+        let lu = lu_no_pivot(&a).unwrap();
         let recon = lu.unit_lower().matmul(&lu.upper());
         assert!(recon.allclose(&a, 1e-9));
+    }
+
+    #[test]
+    fn singular_choices_are_errors_not_panics() {
+        // every row a multiple of (1, 2): rank one, so no two rows form a
+        // nonsingular pivot block and column 1 has no pivot left
+        let panel = Matrix::from_fn(6, 2, |i, j| ((i + 1) * (j + 1)) as f64);
+        assert_eq!(
+            lu_no_pivot(&panel.block(0, 0, 2, 2)).unwrap_err(),
+            SingularMatrix { column: 1 }
+        );
+        for parts in [1, 2, 3] {
+            assert_eq!(
+                tournament_pivots(&panel, 2, parts).unwrap_err(),
+                SingularMatrix { column: 1 }
+            );
+        }
+        assert!(select_pivots_reference(&panel, 2).is_err());
     }
 }

@@ -13,8 +13,9 @@
 //! At startup, [`crate::gemm::GemmBlocking::tuned`] and
 //! [`crate::gemm::selected_kernel`] consult [`persisted`] — the record for
 //! this host, loaded once per process — and fall back to the built-in
-//! heuristics when the file is absent, corrupt, keyed to another host, or
-//! names a kernel this host cannot run. A bad tuning file can therefore
+//! defaults ([`GemmBlocking::default`], the fastest supported ISA kernel)
+//! when the file is absent, corrupt, keyed to another host, or names a
+//! kernel this host cannot run. Nothing is timed at startup. A bad tuning file can therefore
 //! cost performance but never correctness and never a panic; every
 //! corruption path is pinned by `tests/tuning_file.rs`.
 //!
@@ -29,7 +30,7 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use crate::gemm::{gemm_parallel_with, microkernels, GemmBlocking, Microkernel};
+use crate::gemm::{gemm_with, microkernels, GemmBlocking, Microkernel};
 use crate::matrix::Matrix;
 
 /// Where a blocking or kernel decision came from, in consultation order.
@@ -41,7 +42,7 @@ pub enum TuneSource {
     EnvOverride,
     /// The per-host record in the persisted tuning file.
     Persisted,
-    /// The built-in fallback: the first-use blocking probe or the fastest
+    /// The built-in fallback: [`GemmBlocking::default`] or the fastest
     /// supported ISA default kernel.
     Heuristic,
 }
@@ -173,8 +174,8 @@ pub struct TuningRecord {
     /// Thread count of the winning measurement (informational; the record
     /// is consulted by serial and parallel paths alike).
     pub threads: usize,
-    /// Measured throughput of the winning point, for the `>= heuristic`
-    /// gate and for humans reading the file.
+    /// Measured throughput of the winning point, for the `>= default
+    /// blocking` gate and for humans reading the file.
     pub gflops: f64,
 }
 
@@ -390,7 +391,7 @@ pub fn tuning_file_path() -> Option<PathBuf> {
 /// file is absent, unreadable, corrupt, keyed to other hosts only, or
 /// names a kernel this host cannot run. Consulted by
 /// [`GemmBlocking::tuned`] and [`crate::gemm::selected_kernel`]; every
-/// failure mode degrades to the heuristics, never to a panic or a wrong
+/// failure mode degrades to the defaults, never to a panic or a wrong
 /// kernel.
 pub fn persisted() -> Option<&'static TuningRecord> {
     static REC: OnceLock<Option<TuningRecord>> = OnceLock::new();
@@ -404,7 +405,7 @@ fn load_persisted() -> Option<TuningRecord> {
         Ok(f) => f,
         Err(e) => {
             eprintln!(
-                "denselin: ignoring corrupt tuning file {} ({e}); using heuristics",
+                "denselin: ignoring corrupt tuning file {} ({e}); using defaults",
                 path.display()
             );
             return None;
@@ -415,7 +416,7 @@ fn load_persisted() -> Option<TuningRecord> {
         Some(k) if k.supported() => Some(rec),
         _ => {
             eprintln!(
-                "denselin: tuning file {} names kernel `{}` this host cannot run; using heuristics",
+                "denselin: tuning file {} names kernel `{}` this host cannot run; using defaults",
                 path.display(),
                 rec.kernel
             );
@@ -452,7 +453,7 @@ pub struct SweepConfig {
     pub threads: Vec<usize>,
 }
 
-/// The default blocking grid: the historical heuristic candidates plus
+/// The default blocking grid: the former first-use probe candidates plus
 /// L1-lean and wide-panel corners, 8 points total.
 fn default_grid() -> Vec<GemmBlocking> {
     [
@@ -519,12 +520,12 @@ pub fn measure_gflops(
     let b = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 11) % 19) as f64 * 0.0625 - 0.5);
     let mut c = Matrix::zeros(n, n);
     for _ in 0..warmup {
-        gemm_parallel_with(&mut c, 1.0, &a, &b, 0.0, threads, blk, krn);
+        gemm_with(&mut c, 1.0, &a, &b, 0.0, threads, blk, krn);
     }
     let mut times = Vec::with_capacity(reps.max(1));
     for _ in 0..reps.max(1) {
         let start = std::time::Instant::now();
-        gemm_parallel_with(&mut c, 1.0, &a, &b, 0.0, threads, blk, krn);
+        gemm_with(&mut c, 1.0, &a, &b, 0.0, threads, blk, krn);
         times.push(start.elapsed().as_secs_f64());
     }
     times.sort_by(f64::total_cmp);

@@ -10,10 +10,10 @@
 //! [`denselin::force_kernel`] guard's internal lock; the rest use the
 //! explicit-kernel entry points and touch no global state.
 
-use denselin::gemm::{gemm_parallel_with, gemm_update_block, selected_kernel};
+use denselin::gemm::{gemm_update_block, selected_kernel};
 use denselin::{
-    force_kernel, gemm, gemm_blocked_with, gemm_emulated, lu_blocked, lu_parallel_with,
-    microkernels, GemmBlocking, Matrix, SplitMix64,
+    force_kernel, gemm, gemm_emulated, gemm_with, lu_blocked, lu_parallel_with, microkernels,
+    GemmBlocking, Matrix, SplitMix64,
 };
 
 /// Shape triples stressing every fringe case of every registered (mr, nr):
@@ -118,7 +118,7 @@ fn every_variant_matches_emulator_bitwise_serial() {
             for blk in blockings() {
                 for &(alpha, beta) in &[(1.0, 0.0), (-1.5, 0.25), (2.0, 1.0), (0.0, 0.5)] {
                     let mut c = c0.clone();
-                    gemm_blocked_with(&mut c, alpha, &a, &b, beta, blk, krn);
+                    gemm_with(&mut c, alpha, &a, &b, beta, 1, blk, krn);
                     let mut e = c0.clone();
                     gemm_emulated(&mut e, alpha, &a, &b, beta, blk.kc, krn.fused);
                     assert_eq!(
@@ -153,7 +153,7 @@ fn every_variant_overwrites_nan_under_beta_zero() {
                 kc: 3,
                 nc: 7,
             };
-            gemm_blocked_with(&mut c, 1.0, &a, &b, 0.0, blk, krn);
+            gemm_with(&mut c, 1.0, &a, &b, 0.0, 1, blk, krn);
             assert!(
                 c.as_slice().iter().all(|v| v.is_finite()),
                 "kernel {}: beta=0 must overwrite NaN garbage",
@@ -187,7 +187,7 @@ fn every_variant_matches_emulator_bitwise_at_every_thread_count() {
         gemm_emulated(&mut expect, -1.25, &a, &b, 0.75, blk.kc, krn.fused);
         for threads in 1..=8 {
             let mut c = c0.clone();
-            gemm_parallel_with(&mut c, -1.25, &a, &b, 0.75, threads, blk, krn);
+            gemm_with(&mut c, -1.25, &a, &b, 0.75, threads, blk, krn);
             assert_eq!(
                 c.as_slice(),
                 expect.as_slice(),
@@ -217,7 +217,7 @@ fn forcing_each_variant_routes_public_gemm_and_stays_bitwise() {
         let mut c_pub = c0.clone();
         gemm(&mut c_pub, 1.5, &a, &b, -0.5);
         let mut c_exp = c0.clone();
-        gemm_blocked_with(&mut c_exp, 1.5, &a, &b, -0.5, GemmBlocking::tuned(), krn);
+        gemm_with(&mut c_exp, 1.5, &a, &b, -0.5, 1, GemmBlocking::tuned(), krn);
         assert_eq!(c_pub.as_slice(), c_exp.as_slice(), "kernel {}", krn.name);
         drop(guard);
     }

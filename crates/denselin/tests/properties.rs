@@ -2,11 +2,11 @@
 
 use denselin::cholesky::{cholesky_blocked, cholesky_residual, random_spd};
 use denselin::gemm::{
-    gemm, gemm_blocked, gemm_blocked_with, gemm_emulated, gemm_parallel, gemm_parallel_with,
-    gemm_reference, matmul, microkernels, GemmBlocking,
+    gemm, gemm_emulated, gemm_reference, gemm_with, matmul, microkernels, selected_kernel,
+    GemmBlocking,
 };
 use denselin::lu::{lu_blocked, lu_unblocked};
-use denselin::lu_parallel::lu_parallel_with;
+use denselin::lu_parallel::{lu_parallel, lu_parallel_with};
 use denselin::matrix::Matrix;
 use denselin::rng::{check_cases, SplitMix64};
 use denselin::trsm::{
@@ -102,7 +102,8 @@ fn awkward_blockings_agree() {
         let mut def = Matrix::zeros(n, n);
         gemm(&mut def, 1.0, &a, &b, 0.0);
         let mut odd = Matrix::zeros(n, n);
-        gemm_blocked(&mut odd, 1.0, &a, &b, 0.0, GemmBlocking { mc, kc, nc });
+        let odd_blk = GemmBlocking { mc, kc, nc };
+        gemm_with(&mut odd, 1.0, &a, &b, 0.0, 1, odd_blk, selected_kernel());
         assert!(odd.allclose(&def, 1e-11));
     });
 }
@@ -122,7 +123,8 @@ fn parallel_tile_queue_is_bitwise_serial() {
         let mut serial = Matrix::zeros(m, n);
         gemm(&mut serial, 1.0, &a, &b, 0.0);
         let mut parallel = Matrix::zeros(m, n);
-        gemm_parallel(&mut parallel, 1.0, &a, &b, 0.0, threads);
+        let (blk, krn) = (GemmBlocking::tuned(), selected_kernel());
+        gemm_with(&mut parallel, 1.0, &a, &b, 0.0, threads, blk, krn);
         assert_eq!(serial.as_slice(), parallel.as_slice());
     });
 }
@@ -151,7 +153,7 @@ fn any_variant_any_shape_matches_emulator_bitwise() {
             let c0 = rand_matrix(seed ^ 11, m, n);
             let blk = GemmBlocking { mc: 16, kc, nc: 24 };
             let mut got = c0.clone();
-            gemm_blocked_with(&mut got, alpha, &a, &b, beta, blk, krn);
+            gemm_with(&mut got, alpha, &a, &b, beta, 1, blk, krn);
             let mut want = c0;
             gemm_emulated(&mut want, alpha, &a, &b, beta, kc, krn.fused);
             assert_eq!(got.as_slice(), want.as_slice());
@@ -180,9 +182,9 @@ fn any_variant_parallel_is_bitwise_serial() {
             nc: 16,
         };
         let mut serial = Matrix::zeros(m, n);
-        gemm_blocked_with(&mut serial, 1.0, &a, &b, 0.0, blk, krn);
+        gemm_with(&mut serial, 1.0, &a, &b, 0.0, 1, blk, krn);
         let mut parallel = Matrix::zeros(m, n);
-        gemm_parallel_with(&mut parallel, 1.0, &a, &b, 0.0, threads, blk, krn);
+        gemm_with(&mut parallel, 1.0, &a, &b, 0.0, threads, blk, krn);
         assert_eq!(serial.as_slice(), parallel.as_slice());
     });
 }
@@ -242,8 +244,8 @@ fn lu_determinant_matches_permutation_parity() {
         // det(PA) = det(L)det(U) = prod(diag U); det(A) = sign * that
         let a = rand_matrix(seed, n, n);
         if let Ok(f) = lu_unblocked(&a) {
-            // cross-check with the blocked variant
-            let fb = lu_blocked(&a, 3).unwrap();
+            // cross-check with the production driver
+            let fb = lu_parallel(&a, 3).unwrap();
             assert!(
                 (f.determinant() - fb.determinant()).abs() <= 1e-6 * f.determinant().abs().max(1.0)
             );

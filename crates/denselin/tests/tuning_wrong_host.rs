@@ -1,4 +1,4 @@
-//! A tuning file keyed to a *different* host must be ignored (heuristic
+//! A tuning file keyed to a *different* host must be ignored (default
 //! fallback), not misapplied. One test per binary: the selection caches
 //! are process-wide.
 
@@ -31,6 +31,7 @@ fn record_for_another_host_is_ignored() {
 
     let (blk, src) = GemmBlocking::tuned_with_source();
     assert_eq!(src, TuneSource::Heuristic);
+    assert_eq!(blk, GemmBlocking::default());
     assert_ne!(
         blk,
         GemmBlocking {

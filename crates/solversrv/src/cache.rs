@@ -272,7 +272,7 @@ impl FactorCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use denselin::lu_blocked;
+    use denselin::lu_parallel;
 
     fn factor_of(n: usize, seed: u64) -> (Fingerprint, CachedFactor) {
         let a = Matrix::from_fn(n, n, |i, j| {
@@ -282,7 +282,7 @@ mod tests {
                 1.0 / (1.0 + (i + 2 * j) as f64)
             }
         });
-        let f = lu_blocked(&a, 8).unwrap();
+        let f = lu_parallel(&a, 8).unwrap();
         (Fingerprint::of(&a), CachedFactor::Lu(f))
     }
 

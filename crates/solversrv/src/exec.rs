@@ -1,7 +1,7 @@
 //! Execution primitives shared by the single-node service
 //! ([`crate::service`]) and the sharded cluster ([`crate::cluster`]):
 //! result slots, the registered-matrix record, factorization routing
-//! (Cholesky / distributed / local blocked LU) and iterative refinement.
+//! (Cholesky / distributed / local lookahead LU) and iterative refinement.
 //!
 //! Keeping these here means the cluster's failover path factors and
 //! refines with *exactly* the same code as the single-node service, so
@@ -10,9 +10,9 @@
 use std::sync::{Arc, Condvar, Mutex};
 
 use conflux::{factorize_threaded, ConfluxConfig};
-use denselin::gemm::{auto_threads, gemm_auto};
+use denselin::gemm::gemm_auto;
 use denselin::lu::SingularMatrix;
-use denselin::{cholesky_blocked, lu_blocked, lu_parallel_with, solve_refined, Matrix};
+use denselin::{cholesky_blocked, lu_parallel, solve_refined, Matrix};
 use sparselin::{cg, CgConfig, CgOutcome, CsrMatrix, PrecondSetup, Preconditioner, SparseError};
 
 use crate::api::{MatrixKind, SolveError, SolveResponse};
@@ -86,7 +86,7 @@ pub(crate) fn is_symmetric(a: &Matrix) -> bool {
 
 /// Factor `a` according to `kind`: Cholesky for (actually) SPD matrices,
 /// the distributed COnfLUX driver for compatible large cold misses, the
-/// local blocked LU otherwise.
+/// local lookahead LU otherwise.
 pub(crate) fn factor_matrix(
     panel: usize,
     distributed: Option<DistributedConfig>,
@@ -137,17 +137,11 @@ pub(crate) fn factor_matrix(
             // fall through to the local path on any distributed failure
         }
     }
-    // Large local factorizations (including the cluster shards' failover
-    // path) go through the lookahead pipeline; it is bitwise identical to
-    // `lu_blocked`, so the verifier's cross-implementation equality oracles
-    // are unaffected by the routing threshold.
-    let nb = panel.min(n.max(1));
-    let local = if n >= LOOKAHEAD_MIN_N {
-        lu_parallel_with(a, nb, auto_threads())
-    } else {
-        lu_blocked(a, nb)
-    };
-    match local {
+    // Every local factorization (including the cluster shards' failover
+    // path) goes through the lookahead pipeline, which beats the serial
+    // blocked reference at every order and thread count and matches it
+    // bit for bit.
+    match lu_parallel(a, panel.min(n.max(1))) {
         Ok(f) => Ok(Factored {
             factor: CachedFactor::Lu(f),
             distributed: false,
@@ -156,11 +150,6 @@ pub(crate) fn factor_matrix(
         Err(SingularMatrix { column }) => Err(SolveError::Singular { column }),
     }
 }
-
-/// Order at which the local factorization switches from `lu_blocked` to
-/// the lookahead-pipelined `lu_parallel` (below this the pipeline's
-/// stripe/band bookkeeping costs more than it saves).
-const LOOKAHEAD_MIN_N: usize = 192;
 
 /// Refine one solve that missed its tolerance. Returns the refined
 /// solution, its residual and the per-sweep history, or

@@ -44,7 +44,7 @@ pub struct DistributedConfig {
     pub min_n: usize,
     /// COnfLUX block size `v`. The distributed path additionally requires
     /// `n % tile == 0` and `tile ≥ grid.c`; incompatible requests fall
-    /// back to the local blocked LU.
+    /// back to the local lookahead LU.
     pub tile: usize,
     /// The `[q, q, c]` processor grid (`q` must be a power of two).
     pub grid: LuGrid,

@@ -10,7 +10,7 @@
 //! request on a one-worker shard therefore ticks steps 1-2-3-4; a warm
 //! one ticks 1-2.
 
-use denselin::{lu_blocked, Matrix};
+use denselin::{lu_parallel, Matrix};
 use simnet::FaultPlan;
 use solversrv::{serve_cluster, ClusterConfig, Fingerprint, HashRing, MatrixKind, SolveRequest};
 
@@ -35,9 +35,9 @@ fn base_cfg(shards: usize, replicas: usize) -> ClusterConfig {
 }
 
 /// The reference answer the cluster must reproduce bit-for-bit: the same
-/// blocked LU, run directly.
+/// lookahead LU, run directly.
 fn direct_solve(a: &Matrix, b: &Matrix, panel: usize) -> Matrix {
-    let f = lu_blocked(a, panel).unwrap();
+    let f = lu_parallel(a, panel).unwrap();
     let mut x = Matrix::zeros(b.rows(), b.cols());
     f.solve_into(b, &mut x);
     x

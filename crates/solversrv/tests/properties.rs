@@ -5,7 +5,7 @@
 //! * a batched multi-RHS solve matches solving each column separately.
 
 use denselin::rng::{check_cases, SplitMix64};
-use denselin::{lu_blocked, Matrix};
+use denselin::{lu_parallel, Matrix};
 use solversrv::{serve, MatrixKind, ServiceConfig, SolveRequest};
 
 fn system(n: usize, seed: u64, k: usize) -> (Matrix, Matrix) {
@@ -34,7 +34,7 @@ fn cache_hit_solve_is_bitwise_identical_to_fresh() {
 
         // and both match the same factorization driven directly, outside
         // the service (panel width must match the service's)
-        let f = lu_blocked(&a, ServiceConfig::default().panel.min(n)).unwrap();
+        let f = lu_parallel(&a, ServiceConfig::default().panel.min(n)).unwrap();
         let direct = f.solve(&b);
         assert_eq!(direct.as_slice(), hit.x.as_slice());
     });

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use denselin::{lu_blocked, Matrix, SplitMix64};
+use denselin::{lu_parallel, Matrix, SplitMix64};
 use simnet::RetryPolicy;
 use solversrv::{serve, solve_with_retry, MatrixKind, ServiceConfig, SolveError, SolveRequest};
 
@@ -364,7 +364,7 @@ fn eviction_keeps_answers_correct() {
     let a1 = well_conditioned(n, 20);
     let a2 = well_conditioned(n, 21);
     let one_factor_bytes = {
-        let f = lu_blocked(&a1, 8).unwrap();
+        let f = lu_parallel(&a1, 8).unwrap();
         f.lu.len() * std::mem::size_of::<f64>() + f.perm.len() * std::mem::size_of::<usize>()
     };
     let cfg = ServiceConfig {

@@ -12,7 +12,9 @@
 //!   the CANDMC-like 2.5D baseline. Every implementation that returns
 //!   factors must achieve
 //!   a class-aware residual; implementations may only *decline* (error) on
-//!   degenerate inputs or under a fatal fault plan. The 2D baseline uses
+//!   degenerate inputs or under a fatal fault plan, and the fallible COnfLUX
+//!   drivers must decline by returning an error: a panic, in the caller or
+//!   in a rank thread, fails the scenario. The 2D baseline uses
 //!   partial pivoting like the serial reference, so their permutations must
 //!   match **exactly**; the threaded driver runs the same tournament
 //!   algorithm as the orchestrated one, so their factors must agree to
@@ -35,11 +37,11 @@ use baselines::lu2d::{factorize_2d, Lu2dConfig, Variant};
 use baselines::{factorize_candmc, CandmcConfig};
 use conflux::{
     factorize_cholesky, try_factorize, try_factorize_threaded, CholeskyConfig, ConfluxConfig,
-    LuGrid,
+    LuCause, LuError, LuGrid,
 };
 use denselin::cholesky::cholesky_residual;
 use denselin::{cholesky_blocked, lu_blocked, lu_parallel_with, LuFactorization, Matrix};
-use simnet::{CommStats, FaultPlan, Supervisor, Trace};
+use simnet::{CommStats, FaultPlan, SimnetError, Supervisor, Trace};
 use solversrv::{serve, serve_cluster, ClusterConfig, MatrixKind, ServiceConfig, SolveRequest};
 
 use sparselin::{
@@ -251,6 +253,15 @@ fn judge_invariants(
     }
 }
 
+/// The message of a caught panic, when it carried one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string payload")
+}
+
 fn fault_plan(sc: &Scenario) -> FaultPlan {
     match sc.faults {
         FaultSpec::None => FaultPlan::none(),
@@ -433,19 +444,25 @@ fn run_lu(sc: &Scenario) -> Vec<CheckOutcome> {
     let conflux_run = catch_unwind(AssertUnwindSafe(|| try_factorize(&cfg, Some(&a))));
     let mut conflux_outcome = None;
     match conflux_run {
-        Err(_) => {
-            judge_lu(
-                "conflux",
-                &LuOutcome::Declined("panicked".into()),
-                sc,
-                false,
-                &mut out,
-            );
+        Err(payload) => {
+            out.push(CheckOutcome::fail(
+                "conflux-no-panic",
+                format!("try_factorize panicked: {}", panic_message(&*payload)),
+            ));
         }
         Ok(Err(err)) => {
-            // a structured abort is only legitimate for an unrecoverable
-            // crash plan (a dead rank with no replica layer to fail over to)
-            if is_crash {
+            // a structured abort is only legitimate on a degenerate input
+            // (a singular pivot block) or for an unrecoverable crash plan
+            // (a dead rank with no replica layer to fail over to)
+            if let LuCause::SingularPivot { .. } = err.error {
+                judge_lu(
+                    "conflux",
+                    &LuOutcome::Declined(format!("{err}")),
+                    sc,
+                    false,
+                    &mut out,
+                );
+            } else if is_crash {
                 out.push(CheckOutcome::pass(
                     "conflux-residual",
                     format!("structured abort under crash plan: {err}"),
@@ -503,14 +520,23 @@ fn run_lu(sc: &Scenario) -> Vec<CheckOutcome> {
             try_factorize_threaded(&tcfg, &a, Supervisor::default())
         }));
         match threaded {
-            Err(_) => {
-                judge_lu(
-                    "threaded",
-                    &LuOutcome::Declined("panicked".into()),
-                    sc,
-                    false,
-                    &mut out,
-                );
+            Err(payload) => {
+                out.push(CheckOutcome::fail(
+                    "threaded-no-panic",
+                    format!(
+                        "try_factorize_threaded panicked: {}",
+                        panic_message(&*payload)
+                    ),
+                ));
+            }
+            Ok(Err(LuError {
+                error: LuCause::Comm(SimnetError::RankPanicked { rank, message }),
+                ..
+            })) => {
+                out.push(CheckOutcome::fail(
+                    "threaded-no-panic",
+                    format!("rank {rank} of try_factorize_threaded panicked: {message}"),
+                ));
             }
             Ok(Err(err)) => {
                 judge_lu(

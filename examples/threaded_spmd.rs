@@ -70,7 +70,8 @@ fn main() {
     println!("winners (global row ids): {:?}", results[0]);
 
     // the serial tournament gives the same answer
-    let serial = conflux_repro::denselin::tournament_pivots(&panel, v, p);
+    let serial = conflux_repro::denselin::tournament_pivots(&panel, v, p)
+        .expect("a random panel has full rank");
     assert_eq!(
         results[0], serial.pivot_rows,
         "threaded != serial tournament"

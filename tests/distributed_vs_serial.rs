@@ -7,10 +7,11 @@ use std::time::{Duration, Instant};
 use conflux_repro::baselines::lu2d::{factorize_2d, Lu2dConfig, Variant};
 use conflux_repro::baselines::{factorize_candmc, CandmcConfig};
 use conflux_repro::conflux::{
-    factorize, factorize_threaded, try_factorize, try_factorize_threaded, ConfluxConfig, LuGrid,
-    PivotChoice,
+    factorize, factorize_threaded, try_factorize, try_factorize_threaded, ConfluxConfig, LuCause,
+    LuGrid, PivotChoice,
 };
 use conflux_repro::denselin::{lu_unblocked, Matrix, SplitMix64};
+use conflux_repro::simnet::trace::EventKind;
 use conflux_repro::simnet::{FaultPlan, SimnetError, Supervisor};
 
 fn random_matrix(seed: u64, n: usize) -> Matrix {
@@ -150,7 +151,10 @@ fn threaded_conflux_crash_is_bounded_and_structured() {
         "must return within the deadline, took {:?}",
         t0.elapsed()
     );
-    assert_eq!(err.error, SimnetError::RankCrashed { rank: 3, step: 2 });
+    assert_eq!(
+        err.error,
+        LuCause::Comm(SimnetError::RankCrashed { rank: 3, step: 2 })
+    );
     assert_eq!(err.step, Some(2));
     // the two completed steps' traffic is preserved for triage
     assert!(err.stats.sent_in_phase("02:tournament") > 0);
@@ -159,25 +163,28 @@ fn threaded_conflux_crash_is_bounded_and_structured() {
 
 #[test]
 fn orchestrated_trace_replays_identically_under_faults() {
-    // seeded-replay guarantee at the TraceEvent level: same seed, same
-    // fault plan => the exact same event log, twice
+    // seeded-replay guarantee at the timeline level: same seed, same
+    // fault plan => the exact same virtual-time events, twice
     let n = 64;
     let grid = LuGrid::new(8, 2, 2);
     let run = || {
-        let mut cfg = ConfluxConfig::phantom(n, 8, grid).with_faults(
-            FaultPlan::new(41)
-                .with_drop_rate(0.1)
-                .with_duplicate_rate(0.1),
-        );
-        cfg.trace = true;
+        let cfg = ConfluxConfig::phantom(n, 8, grid)
+            .with_timeline()
+            .with_faults(
+                FaultPlan::new(41)
+                    .with_drop_rate(0.1)
+                    .with_duplicate_rate(0.1),
+            );
         try_factorize(&cfg, None).expect("drops never abort the accountant")
     };
     let a = run();
     let b = run();
-    let ta = a.trace.expect("trace was enabled");
-    let tb = b.trace.expect("trace was enabled");
-    assert!(!ta.is_empty());
-    assert_eq!(ta, tb, "TraceEvent log must replay from the seed");
+    let ta = a.timeline.expect("the timeline was enabled").events;
+    let tb = b.timeline.expect("the timeline was enabled").events;
+    assert!(ta
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::Retransmit { .. })));
+    assert_eq!(ta, tb, "the event timeline must replay from the seed");
     assert_eq!(a.stats.total_sent(), b.stats.total_sent());
 }
 

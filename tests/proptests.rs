@@ -16,7 +16,7 @@ use conflux_repro::conflux::{factorize, ConfluxConfig, LuGrid};
 use conflux_repro::denselin::blockcyclic::BlockCyclic1D;
 use conflux_repro::denselin::rng::check_cases;
 use conflux_repro::denselin::trsm::trsm_lower_left;
-use conflux_repro::denselin::{lu_blocked, lu_unblocked, tournament_pivots, Matrix};
+use conflux_repro::denselin::{lu_parallel, lu_unblocked, tournament_pivots, Matrix};
 use conflux_repro::simnet::Network;
 use conflux_repro::sparselin::{
     banded, cg, random_density, spd_laplacian, spmv, spmv_parallel, CgConfig, CsrMatrix,
@@ -100,9 +100,9 @@ fn lu_reconstructs_generated_matrices() {
                 "{class:?} residual {}",
                 f.residual(&a)
             );
-            // blocked agrees, including on the permutation (the classes
-            // here have well-separated pivot candidates)
-            let fb = lu_blocked(&a, 4).unwrap();
+            // the production driver agrees, including on the permutation
+            // (the classes here have well-separated pivot candidates)
+            let fb = lu_parallel(&a, 4).unwrap();
             assert_eq!(&f.perm, &fb.perm);
         }
     });
@@ -116,7 +116,7 @@ fn tournament_pivots_are_distinct_and_in_range() {
         let v = rng.range(1usize..6).min(rows);
         let parts = rng.range(1usize..6);
         let panel = random_panel(seed, rows, v);
-        let sel = tournament_pivots(&panel, v, parts);
+        let sel = tournament_pivots(&panel, v, parts).unwrap();
         assert_eq!(sel.pivot_rows.len(), v);
         let mut sorted = sel.pivot_rows.clone();
         sorted.sort_unstable();
@@ -138,7 +138,7 @@ fn tournament_survives_singular_playoff_stacks() {
         // denselin::tournament)
         let v = v.min(rows / 2);
         let panel = wilkinson_panel(rows, v);
-        let sel = tournament_pivots(&panel, v, parts);
+        let sel = tournament_pivots(&panel, v, parts).unwrap();
         assert_eq!(sel.pivot_rows.len(), v);
         let mut chosen = Matrix::zeros(v, v);
         for (i, &r) in sel.pivot_rows.iter().enumerate() {
